@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-wide count of [`CompiledQubo`] constructions.
 ///
 /// This is the compile-once observability hook: `qdm-runtime` compiles each
-/// cache-miss job exactly once and shares the compilation across
-/// fingerprinting, presolve, and every racing backend, and its tests assert
+/// cache-miss job exactly once and shares the compilation across presolve
+/// and every racing backend (cache hits never compile), and its tests assert
 /// that invariant by diffing this counter around a solve. A relaxed atomic
 /// increment per compilation is far below measurement noise.
 static COMPILATIONS: AtomicU64 = AtomicU64::new(0);
@@ -461,9 +461,9 @@ impl CompiledQubo {
     /// [`QuboModel::canonical_form`] does (both run the same CSR-level
     /// algorithm, [`canonical_form_csr`]).
     ///
-    /// Having this on the compiled form lets `qdm-runtime` derive the cache
-    /// fingerprint from the *same* compilation every backend solves, instead
-    /// of paying a second compile for fingerprinting.
+    /// Callers that already hold a compilation can canonicalize without
+    /// rebuilding the CSR arrays; the result is identical to the model's, so
+    /// fingerprints from either form key the same cache entries.
     pub fn canonical_form(&self) -> (u64, Vec<usize>) {
         canonical_form_csr(
             self.n_vars,
@@ -543,6 +543,9 @@ impl QuboModel {
 mod tests {
     use super::*;
     use crate::model::bits_from_index;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn sample_model() -> QuboModel {
         let mut q = QuboModel::new(5);
@@ -648,11 +651,70 @@ mod tests {
         assert_eq!(pairs, want, "couplings_iter must match the model's sorted key order");
     }
 
-    #[test]
-    fn canonical_form_matches_model_delegation() {
-        let q = sample_model();
-        let c = q.compile();
-        assert_eq!(c.canonical_form(), q.canonical_form());
+    /// A random `n`-variable model whose couplings appear with probability
+    /// `density`. With `tied`, every coefficient comes from {-1, 0, 1}, so
+    /// many variables share a signature and the canonical order falls back
+    /// to tie-breaking; otherwise coefficients are continuous.
+    fn random_model(n: usize, density: f64, tied: bool, rng: &mut StdRng) -> QuboModel {
+        let coefficient = |rng: &mut StdRng| {
+            if tied {
+                f64::from(rng.random_range(-1i32..=1))
+            } else {
+                rng.random_range(-2.0..2.0)
+            }
+        };
+        let mut q = QuboModel::new(n);
+        for i in 0..n {
+            q.add_linear(i, coefficient(rng));
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.random_bool(density) {
+                    q.add_quadratic(i, j, coefficient(rng));
+                }
+            }
+        }
+        q.add_offset(coefficient(rng));
+        q
+    }
+
+    /// `q` with variable `i` renamed to `perm[i]`.
+    fn relabeled(q: &QuboModel, perm: &[usize]) -> QuboModel {
+        let mut out = QuboModel::new(q.n_vars());
+        for (i, &to) in perm.iter().enumerate() {
+            out.add_linear(to, q.linear(i));
+        }
+        for ((i, j), w) in q.quadratic_iter() {
+            out.add_quadratic(perm[i], perm[j], w);
+        }
+        out.add_offset(q.offset());
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The service keys its cache on the model's canonical form, while
+        /// persisted snapshots and journal records may carry fingerprints
+        /// computed from the compiled form; they must agree exactly —
+        /// fingerprint and permutation — on every model and labeling.
+        #[test]
+        fn canonical_form_matches_model_delegation(
+            n in 1usize..=64,
+            density in 0usize..4,
+            tied in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let q = random_model(n, [0.0, 0.05, 0.3, 1.0][density], tied, &mut rng);
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.random_range(0..=i));
+            }
+            for model in [q.clone(), relabeled(&q, &perm)] {
+                prop_assert_eq!(model.compile().canonical_form(), model.canonical_form());
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::metrics::Metrics;
 use crate::service::{JobError, JobOutcome, Shared};
 use crate::submit::SessionCore;
 use crate::sync::{CondvarExt, LockExt};
-use crate::trace::{JobTrace, Span, Stage, StageStats, TraceOutcome};
+use crate::trace::{JobTrace, Span, Stage, TraceOutcome};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One finished job as streamed by
@@ -238,15 +238,12 @@ impl JobHandle {
                     outcome: TraceOutcome::Cancelled,
                     backend: None,
                     shard: self.shared.shard,
-                    spans: vec![Span {
-                        stage: Stage::Queued,
-                        backend: None,
-                        winner: false,
-                        start_ns: job.queued_ns,
-                        end_ns: self.shared.now_ns(),
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    }],
+                    spans: vec![Span::timed(
+                        Stage::Queued,
+                        None,
+                        job.queued_ns,
+                        self.shared.now_ns(),
+                    )],
                 });
             }
             let delivered = job.slot.resolve(Err(JobError::Cancelled), &self.shared.metrics);

@@ -199,8 +199,8 @@ impl Metrics {
 
     /// Records compile time the compile-once pipeline avoided: a job whose
     /// single compilation (taking `compile_seconds`) served `consumers`
-    /// stages/backends would have compiled `consumers` times under the old
-    /// per-stage scheme, so `(consumers - 1) × compile_seconds` was saved.
+    /// backends would have compiled `consumers` times under a per-backend
+    /// scheme, so `(consumers - 1) × compile_seconds` was saved.
     pub fn on_compile_shared(&self, compile_seconds: f64, consumers: u64) {
         let saved = compile_seconds * consumers.saturating_sub(1) as f64;
         self.compile_saved_nanos.fetch_add((saved * 1e9).max(0.0) as u64, Ordering::Relaxed);
@@ -434,9 +434,9 @@ pub struct RuntimeReport {
     /// Total caller-observed enqueue→result time across delivered jobs
     /// (cache hits and coalesced followers included).
     pub served_seconds_total: f64,
-    /// Compile time avoided by sharing one compilation per job across
-    /// fingerprinting and every dispatched backend (races amortize it k
-    /// ways). See [`Metrics::on_compile_shared`].
+    /// Compile time avoided by sharing one compilation per job across every
+    /// dispatched backend (races amortize it k ways). See
+    /// [`Metrics::on_compile_shared`].
     pub compile_seconds_saved: f64,
     /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
     pub race_jobs: u64,

@@ -15,24 +15,26 @@
 //! are reproducible regardless of which worker picks the job up or in what
 //! order anything executes.
 //!
-//! Ahead of the result cache sits the single-flight table
-//! (`FlightTable`): concurrent submissions of the same work
-//! identity coalesce onto one leader instead of both missing the cache and
-//! both solving (the thundering-herd re-solve). Followers park on the
-//! leader's completion and are served its result through the same
-//! canonical-bit translation a cache hit uses; cancelling a follower never
-//! cancels the leader, and a leader that panics wakes its followers to
-//! retry rather than stranding them. A parked follower does occupy its
-//! worker thread for the leader's remaining solve time — the deliberate
-//! simple design (followers need their own post-translation decode and
-//! slot resolution anyway); progress is always guaranteed because a leader
-//! is by construction actively solving on another worker, and the parked
-//! time is bounded by that one solve.
+//! Every job takes one path: canonicalize (once per job, compile-free), then
+//! join the single-flight table (`FlightTable`) under the job's cache key.
+//! The first arrival leads: it checks the result cache and, only on a miss,
+//! compiles and solves. Concurrent submissions of the same work — exact or
+//! permuted duplicates alike — coalesce onto that leader instead of both
+//! missing the cache and both solving (the thundering-herd re-solve).
+//! Followers park on the leader's completion and are served its result
+//! through the same canonical-bit translation a cache hit uses, scored with
+//! their own model, so neither a hit nor a follower compiles. Cancelling a
+//! follower never cancels the leader, and a leader that panics wakes its
+//! followers to retry rather than stranding them. A parked follower does
+//! occupy its worker thread for the leader's remaining solve time — the
+//! deliberate simple design (followers need their own post-translation
+//! decode and slot resolution anyway); progress is always guaranteed
+//! because a leader is by construction actively solving on another worker,
+//! and the parked time is bounded by that one solve.
 
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::cache::{
-    CacheKey, CachedResult, FlightKey, FlightOutput, FlightResolution, FlightRole, FlightTable,
-    ResultCache,
+    CacheKey, CachedResult, FlightLease, FlightResolution, FlightRole, FlightTable, ResultCache,
 };
 use crate::cluster::{Clock, MonotonicClock};
 use crate::cost::{analytic_seconds, CostShape, MIN_PREDICTED_SECONDS};
@@ -257,14 +259,17 @@ impl std::error::Error for JobError {}
 /// Result of one job: completed or failed routing.
 pub type JobOutcome = Result<JobResult, JobError>;
 
-/// Routing work the cluster front-end precomputed at submit time —
-/// compile-free: the QUBO is built once, canonically fingerprinted via
-/// [`qdm_qubo::model::QuboModel::canonical_form`], and carried to whichever
-/// shard (and worker) ends up running the job, so migration never changes
-/// what executes.
+/// A job's encoded model and canonical form — the identity its cache
+/// lookup and single-flight join key on. Computed once per job and
+/// compile-free, via [`qdm_qubo::model::QuboModel::canonical_form`]: the
+/// cluster front-end computes it at submit to pick the shard and carries it
+/// to whichever shard (and worker) ends up running the job, so migration
+/// never changes what executes; for a directly submitted job the worker's
+/// first attempt computes it (see [`AttemptCtx::canonical`]).
+#[derive(Clone)]
 pub(crate) struct RouteInfo {
-    /// The encoded model, built once at routing time; the worker reuses it
-    /// instead of calling `to_qubo` again.
+    /// The encoded model, built once; every attempt reuses it instead of
+    /// calling `to_qubo` again.
     pub(crate) qubo: Arc<QuboModel>,
     /// Canonical (labeling-independent) fingerprint of `qubo`.
     pub(crate) canonical_fp: u64,
@@ -878,15 +883,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
         Some(state) => {
             let RetryState { attempt, ctx, mut trace, backoff_start_ns } = *state;
             if let Some(t) = trace.as_mut() {
-                t.spans.push(Span {
-                    stage: Stage::Retry,
-                    backend: None,
-                    winner: false,
-                    start_ns: backoff_start_ns,
-                    end_ns: shared.now_ns(),
-                    stats: StageStats::default(),
-                    predicted_seconds: None,
-                });
+                t.spans.push(Span::timed(Stage::Retry, None, backoff_start_ns, shared.now_ns()));
             }
             (trace, ctx, attempt)
         }
@@ -901,33 +898,18 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
                 outcome: TraceOutcome::Failed,
                 backend: None,
                 shard: shared.shard,
-                spans: vec![Span {
-                    stage: Stage::Queued,
-                    backend: None,
-                    winner: false,
-                    start_ns: job.queued_ns,
-                    end_ns: shared.now_ns(),
-                    stats: StageStats::default(),
-                    predicted_seconds: None,
-                }],
+                spans: vec![Span::timed(Stage::Queued, None, job.queued_ns, shared.now_ns())],
             });
             if job.recovered {
                 if let Some(t) = trace.as_mut() {
-                    t.spans.push(Span {
-                        stage: Stage::Recover,
-                        backend: None,
-                        winner: false,
-                        start_ns: job.queued_ns,
-                        end_ns: job.queued_ns,
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    });
+                    t.spans.push(Span::timed(Stage::Recover, None, job.queued_ns, job.queued_ns));
                 }
             }
             let ctx = AttemptCtx {
                 deadline_at_ns: job.spec.deadline.map(|d| {
                     job.queued_ns.saturating_add(d.as_nanos().min(u128::from(u64::MAX)) as u64)
                 }),
+                canonical: job.route.take(),
                 ..AttemptCtx::default()
             };
             (trace, ctx, 0u32)
@@ -951,7 +933,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
         ctx.attempted.clear();
         ctx.accounted = false;
         let attempt_outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process(shared, &job.spec, job.route.as_ref(), &mut trace, &mut ctx)
+            process(shared, &job.spec, &mut trace, &mut ctx)
         }))
         .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(payload.as_ref()))));
         let err = match attempt_outcome {
@@ -987,15 +969,12 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
             if backoff.is_zero() {
                 // Instant retry stays in-loop on this worker.
                 if let Some(t) = trace.as_mut() {
-                    t.spans.push(Span {
-                        stage: Stage::Retry,
-                        backend: None,
-                        winner: false,
-                        start_ns: backoff_start_ns,
-                        end_ns: shared.now_ns(),
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    });
+                    t.spans.push(Span::timed(
+                        Stage::Retry,
+                        None,
+                        backoff_start_ns,
+                        shared.now_ns(),
+                    ));
                 }
                 continue;
             }
@@ -1075,12 +1054,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
     if let Some(journal) = &shared.journal {
         match &delivered {
             Ok(_) => {
-                let fingerprint = ctx
-                    .canonical
-                    .as_ref()
-                    .map(|(fp, _)| *fp)
-                    .or_else(|| job.route.as_ref().map(|r| r.canonical_fp))
-                    .unwrap_or(0);
+                let fingerprint = ctx.canonical.as_ref().map_or(0, |route| route.canonical_fp);
                 journal.append(JournalEvent::Completed { job_id: job.id, fingerprint });
             }
             Err(JobError::Cancelled) => {
@@ -1111,16 +1085,15 @@ struct AttemptCtx {
     /// Absolute deadline (nanoseconds since the service epoch), from
     /// [`JobSpec::deadline`] and the job's enqueue time.
     deadline_at_ns: Option<u64>,
-    /// The encoded model, kept across attempts so a retry never re-runs the
-    /// user's `to_qubo` (routed jobs carry theirs in [`RouteInfo`] instead).
-    qubo: Option<Arc<QuboModel>>,
+    /// The job's encoded model and canonical form: the cluster's submit-time
+    /// [`RouteInfo`] for a routed job, else computed by the first attempt.
+    /// Kept across attempts so a retry re-runs neither the user's `to_qubo`
+    /// nor the canonical form; also stamps the journal's `Completed` record.
+    canonical: Option<RouteInfo>,
     /// The shared compilation, kept across attempts: a retry after a
     /// mid-solve failure reuses it instead of recompiling, which is where
     /// most of the per-retry overhead used to go.
     compiled: Option<Arc<CompiledQubo>>,
-    /// The canonical fingerprint and permutation derived from `compiled`,
-    /// cached with it; also stamps the journal's `Completed` record.
-    canonical: Option<(u64, Arc<Vec<usize>>)>,
 }
 
 /// Extracts a human-readable message from a panic payload: the common
@@ -1227,209 +1200,123 @@ fn requested_backend(shared: &Shared, spec: &JobSpec, n_vars: usize) -> Option<S
     }
 }
 
+/// Runs one attempt of a job. The job's canonical form is computed once
+/// (or taken from its cluster route) and keys both the cache and the
+/// single-flight table. The first arrival leads: it checks the cache — under
+/// the lease, so no solve can finish between the lookup and the join, since
+/// [`lead`] inserts into the cache before it deregisters its flight — and
+/// only on a miss compiles and solves. Every other arrival, exact or
+/// permuted duplicate alike, parks on the leader's flight. Hits and
+/// followers translate the canonical assignment through this job's own
+/// permutation and score bits with its own model, so serving never
+/// compiles.
 fn process(
     shared: &Shared,
     spec: &JobSpec,
-    route: Option<&RouteInfo>,
     trace: &mut Option<JobTrace>,
     ctx: &mut AttemptCtx,
 ) -> JobOutcome {
-    // A cluster-routed job arrives with its QUBO already built and
-    // canonically fingerprinted; it skips straight to the canonical path.
-    if let Some(route) = route {
-        return process_routed(shared, spec, route, trace, ctx);
-    }
-    // The encoding is cached on the attempt context: a retry re-enters
-    // here, and the user's `to_qubo` is deterministic, so re-running it
-    // would buy nothing and cost the whole encode.
-    let qubo = match &ctx.qubo {
-        Some(qubo) => Arc::clone(qubo),
-        None => {
-            let qubo = Arc::new(spec.problem.to_qubo());
-            ctx.qubo = Some(Arc::clone(&qubo));
-            qubo
-        }
-    };
-    let n_vars = qubo.n_vars();
-    let requested = requested_backend(shared, spec, n_vars);
-    let requested = requested.as_deref();
-    // Single-flight, level 1: the exact (label-order) fingerprint, checked
-    // *before* compiling. Two concurrent submissions of the same spec both
-    // reach this point cache-cold; without it both would compile and solve
-    // — the thundering-herd re-solve the cache alone cannot prevent,
-    // because its entry only appears after the first solve finishes.
-    let exact_key = FlightKey::exact(
-        spec.problem.name(),
-        qubo.fingerprint(),
-        &spec.options,
-        spec.seed,
-        requested,
-    );
-    loop {
-        match shared.inflight.join_or_lead(exact_key.clone()) {
-            FlightRole::Leader(lease) => {
-                return lead(shared, spec, &qubo, n_vars, requested, lease, trace, ctx)
-            }
-            FlightRole::Follower(flight) => {
-                shared.metrics.on_coalesced();
-                let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
-                match flight.wait() {
-                    FlightResolution::Served(out) => {
-                        // An exact duplicate shares the leader's labeling,
-                        // so the leader's compilation and canonical
-                        // permutation translate its bits verbatim — this
-                        // job never compiled.
-                        shared.metrics.on_coalesced_served();
-                        let result = serve_coalesced(
-                            spec,
-                            |bits| out.compiled.energy(bits),
-                            &out.perm,
-                            out.cached.clone(),
-                        );
-                        if let Some(t) = trace.as_mut() {
-                            t.spans.push(Span {
-                                stage: Stage::Serve,
-                                backend: Some(result.backend.clone()),
-                                winner: false,
-                                start_ns: park_start_ns,
-                                end_ns: shared.now_ns(),
-                                stats: StageStats::default(),
-                                predicted_seconds: None,
-                            });
-                        }
-                        return Ok(result);
-                    }
-                    FlightResolution::Failed(err) => {
-                        // The leader failed routing deterministically; an
-                        // identical spec fails identically.
-                        shared.metrics.on_failed();
-                        return Err(err);
-                    }
-                    // The leader panicked without publishing: retry from
-                    // the top — this job may become the new leader. The
-                    // park suppressed nothing, so net it back out.
-                    FlightResolution::Abandoned => {
-                        shared.metrics.on_coalesce_abandoned();
-                        continue;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs a cluster-routed job. The cluster already built the QUBO and
-/// computed its canonical fingerprint (compile-free) to pick the shard, so
-/// the worker goes straight to the canonical cache key and the canonical
-/// single-flight — duplicates of a hot fingerprint all hash to this shard,
-/// land here, and coalesce regardless of variable labeling. A follower or
-/// cache hit translates the canonical assignment through *this* job's own
-/// permutation and scores bits with its own (uncompiled) model —
-/// [`qdm_qubo::model::QuboModel::energy`] is bit-identical to the compiled
-/// evaluation — so serving never costs a compilation. Only a flight leader
-/// compiles, inside [`lead`]: its `extend` with the canonical key this
-/// lease already holds is an idempotent no-op.
-fn process_routed(
-    shared: &Shared,
-    spec: &JobSpec,
-    route: &RouteInfo,
-    trace: &mut Option<JobTrace>,
-    ctx: &mut AttemptCtx,
-) -> JobOutcome {
-    let qubo = &route.qubo;
-    let n_vars = qubo.n_vars();
-    let requested = requested_backend(shared, spec, n_vars);
-    let requested = requested.as_deref();
+    let route = ctx.canonical.get_or_insert_with(|| canonicalize(shared, spec, trace)).clone();
+    let requested = requested_backend(shared, spec, route.qubo.n_vars());
     if let Some(t) = trace.as_mut() {
         t.fingerprint = route.canonical_fp;
     }
-    let key =
-        CacheKey::new(spec.problem.name(), route.canonical_fp, &spec.options, spec.seed, requested);
-    if let Some(cached) = shared.cache.get(&key) {
-        shared.metrics.on_cache_hit();
-        let serve_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
-        let result = serve_cached(spec, |bits| qubo.energy(bits), &route.perm, cached);
-        if let Some(t) = trace.as_mut() {
-            t.spans.push(Span {
-                stage: Stage::Serve,
-                backend: Some(result.backend.clone()),
-                winner: false,
-                start_ns: serve_start_ns,
-                end_ns: shared.now_ns(),
-                stats: StageStats::default(),
-                predicted_seconds: None,
-            });
-        }
-        return Ok(result);
-    }
+    let key = CacheKey::new(
+        spec.problem.name(),
+        route.canonical_fp,
+        &spec.options,
+        spec.seed,
+        requested.as_deref(),
+    );
     loop {
-        match shared.inflight.join_or_lead(FlightKey::Canonical(key.clone())) {
+        let flight = match shared.inflight.join_or_lead(&key) {
             FlightRole::Leader(lease) => {
-                return lead(shared, spec, qubo, n_vars, requested, lease, trace, ctx);
-            }
-            FlightRole::Follower(flight) => {
-                shared.metrics.on_coalesced();
-                let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
-                match flight.wait() {
-                    FlightResolution::Served(out) => {
-                        shared.metrics.on_coalesced_served();
-                        let result = serve_coalesced(
-                            spec,
-                            |bits| qubo.energy(bits),
-                            &route.perm,
-                            out.cached.clone(),
-                        );
-                        if let Some(t) = trace.as_mut() {
-                            t.spans.push(Span {
-                                stage: Stage::Serve,
-                                backend: Some(result.backend.clone()),
-                                winner: false,
-                                start_ns: park_start_ns,
-                                end_ns: shared.now_ns(),
-                                stats: StageStats::default(),
-                                predicted_seconds: None,
-                            });
-                        }
-                        return Ok(result);
-                    }
-                    FlightResolution::Failed(err) => {
-                        shared.metrics.on_failed();
-                        return Err(err);
-                    }
-                    FlightResolution::Abandoned => {
-                        shared.metrics.on_coalesce_abandoned();
-                        continue;
-                    }
+                let Some(cached) = shared.cache.get(&key) else {
+                    return lead(shared, spec, &route, key, lease, trace, ctx);
+                };
+                shared.metrics.on_cache_hit();
+                let serve_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
+                let result = serve_cached(spec, &route, cached.clone());
+                if let Some(t) = trace.as_mut() {
+                    t.spans.push(Span::timed(
+                        Stage::Serve,
+                        Some(result.backend.clone()),
+                        serve_start_ns,
+                        shared.now_ns(),
+                    ));
                 }
+                lease.publish(Ok(cached));
+                return Ok(result);
             }
+            FlightRole::Follower(flight) => flight,
+        };
+        shared.metrics.on_coalesced();
+        let park_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
+        match flight.wait() {
+            FlightResolution::Served(cached) => {
+                shared.metrics.on_coalesced_served();
+                let mut result = serve_cached(spec, &route, cached);
+                result.from_cache = false;
+                result.coalesced = true;
+                if let Some(t) = trace.as_mut() {
+                    t.spans.push(Span::timed(
+                        Stage::Serve,
+                        Some(result.backend.clone()),
+                        park_start_ns,
+                        shared.now_ns(),
+                    ));
+                }
+                return Ok(result);
+            }
+            FlightResolution::Failed(err) => {
+                // The leader failed routing deterministically; an identical
+                // spec fails identically.
+                shared.metrics.on_failed();
+                return Err(err);
+            }
+            // The leader panicked without publishing: retry from the top —
+            // this job may become the new leader. The park suppressed
+            // nothing, so net it back out.
+            FlightResolution::Abandoned => shared.metrics.on_coalesce_abandoned(),
         }
     }
 }
 
-/// Runs a job that leads its single-flight: compile once, check the cache,
-/// coalesce onto a permuted-identical in-flight duplicate if one exists,
-/// else solve — and publish whatever happened to any parked followers.
-#[allow(clippy::too_many_arguments)]
+/// Encodes a directly submitted job and computes its canonical form without
+/// compiling, timing the canonical form as a [`Stage::Canonical`] span.
+fn canonicalize(shared: &Shared, spec: &JobSpec, trace: &mut Option<JobTrace>) -> RouteInfo {
+    let qubo = Arc::new(spec.problem.to_qubo());
+    let start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
+    let (canonical_fp, perm) = qubo.canonical_form();
+    if let Some(t) = trace.as_mut() {
+        t.spans.push(Span::timed(Stage::Canonical, None, start_ns, shared.now_ns()));
+    }
+    RouteInfo { qubo, canonical_fp, perm: Arc::new(perm) }
+}
+
+/// Runs a flight leader whose cache lookup missed: compile once, route,
+/// solve, cache the result, and publish whatever happened to any parked
+/// followers.
 fn lead(
     shared: &Shared,
     spec: &JobSpec,
-    qubo: &QuboModel,
-    n_vars: usize,
-    requested: Option<&str>,
-    mut lease: crate::cache::FlightLease<'_>,
+    route: &RouteInfo,
+    key: CacheKey,
+    lease: FlightLease<'_>,
     trace: &mut Option<JobTrace>,
     ctx: &mut AttemptCtx,
 ) -> JobOutcome {
     let tracing = trace.is_some();
+    let qubo = &*route.qubo;
+    let n_vars = qubo.n_vars();
     // Injected compile/presolve/serve faults return through `?`, dropping
     // the lease unpublished: followers see `Abandoned` and retry from the
     // top rather than being served an occurrence-dependent error as if it
     // were deterministic.
     apply_fault(shared, FaultSite::Compile, None)?;
-    // THE compile of this job: every downstream consumer — canonical
-    // fingerprinting, presolve, each dispatched backend (all k of a race),
-    // and any exact-duplicate followers — shares this one
-    // `Arc<CompiledQubo>`. No other stage on the service path compiles.
+    // THE compile of this job: presolve and each dispatched backend (all k
+    // of a race) share this one `Arc<CompiledQubo>`. No other stage on the
+    // service path compiles.
     let compile_start_ns = if tracing { shared.now_ns() } else { 0 };
     // A retry after a mid-solve failure reuses the attempt context's
     // compilation (`None` seconds — nothing was compiled, so nothing is
@@ -1445,92 +1332,8 @@ fn lead(
             (compiled, Some(seconds))
         }
     };
-    let (canonical_fp, perm) = match &ctx.canonical {
-        Some((fp, perm)) => (*fp, Arc::clone(perm)),
-        None => {
-            let (fp, perm) = compiled.canonical_form();
-            let perm = Arc::new(perm);
-            ctx.canonical = Some((fp, Arc::clone(&perm)));
-            (fp, perm)
-        }
-    };
     if let Some(t) = trace.as_mut() {
-        t.fingerprint = canonical_fp;
-        t.spans.push(Span {
-            stage: Stage::Compile,
-            backend: None,
-            winner: false,
-            start_ns: compile_start_ns,
-            end_ns: shared.now_ns(),
-            stats: StageStats::default(),
-            predicted_seconds: None,
-        });
-    }
-    let key = CacheKey::new(spec.problem.name(), canonical_fp, &spec.options, spec.seed, requested);
-    if let Some(cached) = shared.cache.get(&key) {
-        shared.metrics.on_cache_hit();
-        let serve_start_ns = if tracing { shared.now_ns() } else { 0 };
-        let result = serve_cached(spec, |bits| compiled.energy(bits), &perm, cached.clone());
-        if let Some(t) = trace.as_mut() {
-            t.spans.push(Span {
-                stage: Stage::Serve,
-                backend: Some(result.backend.clone()),
-                winner: false,
-                start_ns: serve_start_ns,
-                end_ns: shared.now_ns(),
-                stats: StageStats::default(),
-                predicted_seconds: None,
-            });
-        }
-        lease.publish(Ok(FlightOutput { cached, compiled, perm }));
-        return Ok(result);
-    }
-
-    // Single-flight, level 2: the canonical key. A permuted-but-identical
-    // encoding may already be solving under a different exact key; coalesce
-    // onto it and translate its canonical assignment through *this* job's
-    // own permutation — the same machinery a permuted cache hit uses.
-    // An `extend` returning `None` means this job now leads the canonical
-    // flight too and proceeds to solve; `Abandoned` retries the extend (the
-    // canonical leader panicked and its key was removed).
-    while let Some(flight) = lease.extend(FlightKey::Canonical(key.clone())) {
-        shared.metrics.on_coalesced();
-        let park_start_ns = if tracing { shared.now_ns() } else { 0 };
-        match flight.wait() {
-            FlightResolution::Served(out) => {
-                shared.metrics.on_coalesced_served();
-                let result =
-                    serve_coalesced(spec, |bits| compiled.energy(bits), &perm, out.cached.clone());
-                if let Some(t) = trace.as_mut() {
-                    t.spans.push(Span {
-                        stage: Stage::Serve,
-                        backend: Some(result.backend.clone()),
-                        winner: false,
-                        start_ns: park_start_ns,
-                        end_ns: shared.now_ns(),
-                        stats: StageStats::default(),
-                        predicted_seconds: None,
-                    });
-                }
-                // Publish through to this flight's own exact followers with
-                // *this* labeling's compilation and permutation, which is
-                // the one that translates their bits correctly.
-                lease.publish(Ok(FlightOutput { cached: out.cached, compiled, perm }));
-                return Ok(result);
-            }
-            FlightResolution::Failed(err) => {
-                shared.metrics.on_failed();
-                lease.publish(Err(err.clone()));
-                return Err(err);
-            }
-            FlightResolution::Abandoned => {
-                // The canonical leader panicked; its key is gone, so the
-                // extend retries (and may succeed, making this job the
-                // solver). The park suppressed nothing.
-                shared.metrics.on_coalesce_abandoned();
-                continue;
-            }
-        }
+        t.spans.push(Span::timed(Stage::Compile, None, compile_start_ns, shared.now_ns()));
     }
 
     // Degraded routing: skip backends that failed earlier attempts of this
@@ -1626,10 +1429,10 @@ fn lead(
             shared.portfolio.cost_model().predict_seconds(idx, analytic)
         })
         .collect();
-    // One compile served the fingerprint stage plus every participant;
-    // under the old compile-per-stage scheme each would have compiled.
+    // One compile served every participant; compiling per backend would
+    // have paid it once each.
     if let Some(compile_seconds) = compile_seconds {
-        shared.metrics.on_compile_shared(compile_seconds, 1 + participants.len() as u64);
+        shared.metrics.on_compile_shared(compile_seconds, participants.len() as u64);
     }
 
     let naive_lower_bound = compiled.naive_lower_bound();
@@ -1804,14 +1607,14 @@ fn lead(
 
     let mut canonical_bits = vec![false; report.bits.len()];
     for (i, &bit) in report.bits.iter().enumerate() {
-        canonical_bits[perm[i]] = bit;
+        canonical_bits[route.perm[i]] = bit;
     }
     let cached =
         CachedResult { report: report.clone(), canonical_bits, backend: backend_name.clone() };
     // Insert into the cache *before* publishing/deregistering the flight:
     // a duplicate arriving after the flight closes must find the entry.
     shared.cache.insert(key, cached.clone());
-    lease.publish(Ok(FlightOutput { cached, compiled, perm }));
+    lease.publish(Ok(cached));
     Ok(JobResult {
         job_id: 0, // stamped with the queue id by the worker loop
         report,
@@ -1819,20 +1622,6 @@ fn lead(
         from_cache: false,
         coalesced: false,
     })
-}
-
-/// Serves a follower that coalesced onto an in-flight leader: the standard
-/// cache-hit translation, re-flagged as a coalesced (not cached) result.
-fn serve_coalesced(
-    spec: &JobSpec,
-    energy: impl Fn(&[bool]) -> f64,
-    perm: &[usize],
-    cached: CachedResult,
-) -> JobResult {
-    let mut result = serve_cached(spec, energy, perm, cached);
-    result.from_cache = false;
-    result.coalesced = true;
-    result
 }
 
 /// Clones the job's options with a fresh [`StageProfile`] tee'd in front of
@@ -1995,19 +1784,13 @@ fn render_chrome_trace(traces: &[JobTrace]) -> String {
 /// report bit-identically. A permuted-but-identical encoding instead gets
 /// the canonical assignment translated into its own variable order, with
 /// the label-dependent fields (bits, energy, decode) re-derived; energy and
-/// feasibility are preserved by construction. `energy` scores a bit vector
-/// under the requester's labeling — either a compiled evaluation or
-/// [`qdm_qubo::model::QuboModel::energy`]; the two are bit-identical, so
-/// callers that never compiled (cluster-routed followers) pass the model's.
-fn serve_cached(
-    spec: &JobSpec,
-    energy: impl Fn(&[bool]) -> f64,
-    perm: &[usize],
-    cached: CachedResult,
-) -> JobResult {
-    let mut bits = vec![false; perm.len()];
+/// feasibility are preserved by construction. The energy is scored with the
+/// requester's own model ([`qdm_qubo::model::QuboModel::energy`] is
+/// bit-identical to the compiled evaluation), so serving never compiles.
+fn serve_cached(spec: &JobSpec, route: &RouteInfo, cached: CachedResult) -> JobResult {
+    let mut bits = vec![false; route.perm.len()];
     for (i, slot) in bits.iter_mut().enumerate() {
-        *slot = cached.canonical_bits[perm[i]];
+        *slot = cached.canonical_bits[route.perm[i]];
     }
     if bits == cached.report.bits {
         return JobResult {
@@ -2018,7 +1801,7 @@ fn serve_cached(
             coalesced: false,
         };
     }
-    let energy = energy(&bits);
+    let energy = route.qubo.energy(&bits);
     let decoded = spec.problem.decode(&bits);
     let report = PipelineReport { bits, energy, decoded, ..cached.report };
     JobResult {

@@ -3,7 +3,7 @@
 //! stores recent traces in.
 //!
 //! Every traced job produces one [`JobTrace`]: a span per runtime stage —
-//! queue wait, compile+fingerprint, presolve/decompose preparation, one
+//! queue wait, canonical form, compile, presolve/decompose preparation, one
 //! solve span per race participant (winner marked), serve — each stamped
 //! with monotonic nanosecond timestamps from the service's private epoch
 //! and carrying lane/session/fingerprint attribution plus the
@@ -34,7 +34,13 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 pub enum Stage {
     /// Sitting in the service queue (enqueue → worker pickup).
     Queued,
-    /// The job's single QUBO compile plus canonical fingerprinting.
+    /// The worker computing the job's compile-free canonical form — the
+    /// fingerprint that keys the result cache and the single-flight table.
+    /// Cluster-routed jobs are canonicalized at submit and carry no such
+    /// span.
+    Canonical,
+    /// The job's single QUBO compile. Only the flight leader of a cache
+    /// miss compiles; cache hits and coalesced followers have no such span.
     Compile,
     /// Pipeline preparation: presolve fixpoint + component extraction.
     Presolve,
@@ -55,6 +61,7 @@ impl Stage {
     pub fn name(&self) -> &'static str {
         match self {
             Stage::Queued => "queued",
+            Stage::Canonical => "canonical",
             Stage::Compile => "compile",
             Stage::Presolve => "presolve",
             Stage::Solve => "solve",
@@ -124,6 +131,20 @@ pub struct Span {
 }
 
 impl Span {
+    /// A span without backend-internal counters or a latency prediction —
+    /// every stage but presolve and solve.
+    pub(crate) fn timed(stage: Stage, backend: Option<String>, start_ns: u64, end_ns: u64) -> Self {
+        Self {
+            stage,
+            backend,
+            winner: false,
+            start_ns,
+            end_ns,
+            stats: StageStats::default(),
+            predicted_seconds: None,
+        }
+    }
+
     /// Span duration in nanoseconds.
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)

@@ -271,9 +271,9 @@ fn racing_job_trace_carries_the_full_span_chain() {
     assert_eq!(trace.backend.as_deref(), Some(result.backend.as_str()));
     assert_eq!(trace.problem, "pick-one-of-6");
     assert_eq!(trace.seed, 3);
-    assert_ne!(trace.fingerprint, 0, "the compile span stamps the canonical fingerprint");
+    assert_ne!(trace.fingerprint, 0, "the canonical form stamps the fingerprint");
 
-    // Span chain: queued → compile → presolve → 3 solve children.
+    // Span chain: queued → canonical → compile → presolve → 3 solve children.
     assert!(trace.span(Stage::Queued).is_some(), "queue wait span present");
     let compiles = trace.spans.iter().filter(|s| s.stage == Stage::Compile).count();
     assert_eq!(compiles, 1, "exactly one compile — the compile-once invariant, now visible");
@@ -313,7 +313,7 @@ fn exported_chrome_trace_round_trips_through_json() {
 
     let doc = Parser::parse(&exported).expect("export is valid JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
-    assert_eq!(events.len(), 6, "queued + compile + presolve + 3 solves");
+    assert_eq!(events.len(), 7, "queued + canonical + compile + presolve + 3 solves");
     for event in events {
         assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"), "complete events");
         assert_eq!(event.get("cat").and_then(Json::as_str), Some("qdm"));
@@ -327,7 +327,7 @@ fn exported_chrome_trace_round_trips_through_json() {
     }
     let names: Vec<&str> =
         events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
-    assert_eq!(names[..3], ["queued", "compile", "presolve"], "main chain in order");
+    assert_eq!(names[..4], ["queued", "canonical", "compile", "presolve"], "main chain in order");
     assert_eq!(names.iter().filter(|&&n| n == "solve").count(), 3);
     // Solve spans carry the winner flag; exactly one is true. They also get
     // distinct tids so overlapping race spans render as separate lanes.
@@ -395,7 +395,7 @@ fn cache_hits_and_coalesced_jobs_land_in_served_latency() {
     assert!(report.latency_quantile(0.5).is_some());
     assert!(report.served_seconds_total > 0.0);
     // The traces agree: one solved, one cache hit, and the hit's timeline
-    // still shows queue wait + compile + serve (it compiled to fingerprint).
+    // shows queue wait + canonical form + serve (it never compiles).
     let traces = service.traces();
     assert_eq!(traces.len(), 2);
     assert_eq!(traces[0].outcome, TraceOutcome::Solved);
