@@ -106,7 +106,7 @@ pub const MAX_PREDICTED_SECONDS: f64 = 3600.0;
 const MIN_SUCCESS_RATE: f64 = 0.05;
 
 /// EWMA smoothing factor for calibration: each new observation carries
-/// 20% weight (matches the portfolio's latency EWMA).
+/// 20% weight (matches the portfolio's quality EWMA).
 const ALPHA: f64 = 0.2;
 
 /// EWMA smoothing factor for the *routing* calibration channel: slower
@@ -367,8 +367,9 @@ impl CostModel {
     /// for the job's shape, `actual_seconds` the observed solve time. The
     /// first observation seeds every EWMA; the error factor is measured
     /// against the prediction that was *in force before* this observation
-    /// updated the ratio.
-    pub fn observe(&self, backend: usize, analytic_seconds: f64, actual_seconds: f64) {
+    /// updated the ratio. Returns the backend's observation count,
+    /// this one included.
+    pub fn observe(&self, backend: usize, analytic_seconds: f64, actual_seconds: f64) -> u64 {
         let analytic = analytic_seconds.max(MIN_PREDICTED_SECONDS);
         let actual = actual_seconds.max(MIN_PREDICTED_SECONDS);
         let mut state = self.state.lock_unpoisoned();
@@ -389,6 +390,7 @@ impl CostModel {
         }
         s.observations += 1;
         s.successes += 1;
+        let observations = s.observations;
         // Routing channel: the same observation in log16 space, folded
         // into both the backend's own EWMA and the fleet common mode.
         let log_ratio = ratio.log2() / ROUTING_QUANT_BASE.log2();
@@ -401,6 +403,7 @@ impl CostModel {
             None => log_ratio,
             Some(prev) => (1.0 - ROUTING_ALPHA) * prev + ROUTING_ALPHA * log_ratio,
         });
+        observations
     }
 
     /// Records a failure attributed to `backend`: lowers its success rate

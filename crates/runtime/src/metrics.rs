@@ -3,6 +3,13 @@
 //! estimation, and the [`RuntimeReport`] snapshot the service surfaces —
 //! renderable as Prometheus text exposition via
 //! [`RuntimeReport::render_prometheus`].
+//!
+//! Each scalar series is declared once, as a row of the `ledger!` table
+//! below, which generates its [`Metrics`] atomic, its [`RuntimeReport`]
+//! field and load, its sum in [`RuntimeReport::merge`], and its Prometheus
+//! series: a new scalar series is one row plus the `on_*` hook feeding it.
+//! The hooks, histograms, per-backend tables and telemetry, and `Display`
+//! stay hand-written, because each carries logic of its own.
 
 use crate::sync::LockExt;
 use std::collections::BTreeMap;
@@ -47,39 +54,255 @@ pub fn histogram_quantile(histogram: &[u64; LATENCY_BUCKETS], q: f64) -> Option<
     unreachable!("rank <= total, so the scan always lands in a bucket")
 }
 
+/// Declares the ledger's scalar series. Each row reads
+/// `field: type = source, export;` under the field's doc comment:
+///
+/// - `source` is `atomic(scale)`, a [`Metrics`] counter holding the value
+///   times `scale` (1 for counts; 1e6 or 1e9 for seconds kept in µs or
+///   ns) and loaded by [`Metrics::report`], or `service`, a value
+///   [`crate::service::SolverService::report`] fills in (zero on bare
+///   [`Metrics::report`] snapshots);
+/// - `export` is `counter(name), help` or `gauge(name), help`, with
+///   `(name, shard)` when a shard-tagged report labels the sample, or
+///   `histogram_sum` for a total rendered as a latency histogram's `_sum`,
+///   or `unexported`. `render_prometheus` emits the series in table order.
+///
+/// Every row sums in [`RuntimeReport::merge`]. The struct ahead of the
+/// rows lists the report's hand-written fields.
+macro_rules! ledger {
+    (
+        #[doc = $report_doc:literal]
+        pub struct RuntimeReport { $($extra:tt)* }
+        $(
+            $(#[doc = $doc:literal])*
+            $field:ident: $ty:ident = $(atomic($scale:tt))? $(service)?,
+            $kind:ident $(($prom:literal $(, $shard:ident)?), $help:literal)?;
+        )*
+    ) => {
+        /// The atomics behind every `atomic(scale)` row of the table.
+        #[derive(Default)]
+        struct Ledger {
+            $($(
+                #[doc = concat!("The report value × ", stringify!($scale), ".")]
+                $field: AtomicU64,
+            )?)*
+        }
+
+        impl Ledger {
+            fn load_into(&self, report: &mut RuntimeReport) {
+                $($(
+                    report.$field = self.$field.load(Ordering::Relaxed) as $ty / $scale as $ty;
+                )?)*
+            }
+        }
+
+        #[doc = $report_doc]
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct RuntimeReport {
+            $($(#[doc = $doc])* pub $field: $ty,)*
+            $($extra)*
+        }
+
+        impl RuntimeReport {
+            fn add_scalars(&mut self, other: &RuntimeReport) {
+                $(self.$field += other.$field;)*
+            }
+
+            fn render_scalars(&self, out: &mut String) {
+                let shard = self.shard.map(|s| format!("{{shard=\"{s}\"}}")).unwrap_or_default();
+                $($(
+                    let labels = labels!(shard.clone() $(, $shard)?);
+                    let sample = (labels, self.$field as f64);
+                    push_series(out, $prom, stringify!($kind), $help, [sample]);
+                )?)*
+            }
+        }
+    };
+}
+
+/// The labels a row's sample carries: the shard label, or none.
+macro_rules! labels {
+    ($shard:expr) => {
+        String::new()
+    };
+    ($shard:expr, shard) => {
+        $shard
+    };
+}
+
+/// Appends one Prometheus series: its `# HELP` and `# TYPE` headers, then
+/// one sample per `(labels, value)`, where `labels` is empty or a
+/// `{key="value"}` set.
+fn push_series(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, f64)>,
+) {
+    out.push_str(&format!("# HELP qdm_{name} {help}\n# TYPE qdm_{name} {kind}\n"));
+    for (labels, value) in samples {
+        out.push_str(&format!("qdm_{name}{labels} {value}\n"));
+    }
+}
+
+ledger! {
+    /// An immutable snapshot of the service's counters.
+    pub struct RuntimeReport {
+        /// Solve-latency histogram; bucket `i` counts solves in
+        /// `[2^i, 2^(i+1))` µs. Cache hits and coalesced followers are *not* in
+        /// here — see [`Self::served_latency_histogram`].
+        pub latency_histogram: [u64; LATENCY_BUCKETS],
+        /// Caller-observed serve-latency histogram (same bucketing): one entry
+        /// per delivered job — solved, cache hit, or coalesced — measuring
+        /// enqueue→result, so its p99 reflects what callers actually wait.
+        pub served_latency_histogram: [u64; LATENCY_BUCKETS],
+        /// `(backend, jobs solved)` sorted by backend name.
+        pub per_backend: Vec<(String, u64)>,
+        /// `(backend, races won)` sorted by backend name.
+        pub race_wins: Vec<(String, u64)>,
+        /// Per-backend EWMA latency/quality telemetry from the portfolio
+        /// router, sorted by backend name; backends with zero observations are
+        /// omitted. Empty on bare [`Metrics::report`] snapshots — populated by
+        /// [`crate::service::SolverService::report`].
+        pub backend_telemetry: Vec<BackendTelemetry>,
+        /// The shard this report describes: `Some(id)` for a shard inside a
+        /// [`crate::cluster::ClusterService`], `None` for a standalone service
+        /// or a merged cluster report.
+        pub shard: Option<u64>,
+        /// Per-shard `(shard id, current queue depth)` breakdown, sorted by
+        /// shard id. Empty except on reports produced by
+        /// [`RuntimeReport::merge`] over shard-tagged inputs.
+        pub shard_queue_depths: Vec<(u64, u64)>,
+    }
+
+    /// Jobs accepted into the queue.
+    jobs_submitted: u64 = atomic(1), counter("jobs_submitted_total"),
+        "Jobs accepted into the queue.";
+    /// Jobs answered (solved or served from cache).
+    jobs_completed: u64 = atomic(1), counter("jobs_completed_total"),
+        "Jobs answered (solved or served from cache).";
+    /// Jobs that failed routing (no eligible backend).
+    jobs_failed: u64 = atomic(1), counter("jobs_failed_total"),
+        "Jobs that failed routing (no eligible backend).";
+    /// Cancellations that took effect (queued jobs removed before a worker
+    /// picked them up, plus running jobs marked to report `Cancelled`).
+    /// A job cancelled mid-run counts here and **not** in `jobs_completed`,
+    /// even though its solve finished and populated the cache.
+    jobs_cancelled: u64 = atomic(1), counter("jobs_cancelled_total"),
+        "Cancellations that took effect.";
+    /// Jobs that coalesced onto a concurrent in-flight duplicate
+    /// (single-flight): served from the leader's result without compiling,
+    /// solving, or touching the hit/miss counters.
+    jobs_coalesced: u64 = atomic(1), counter("jobs_coalesced_total"),
+        "Jobs coalesced onto a concurrent in-flight duplicate.";
+    /// Jobs served from the result cache.
+    cache_hits: u64 = atomic(1), counter("cache_hits_total"), "Jobs served from the result cache.";
+    /// Jobs that had to be solved.
+    cache_misses: u64 = atomic(1), counter("cache_misses_total"), "Jobs that had to be solved.";
+    /// `Session::try_submit` calls rejected with `QueueFull`.
+    backpressure_rejections: u64 = atomic(1), counter("backpressure_rejections_total"),
+        "try_submit calls rejected by a full session queue.";
+    /// Blocking `Session::submit` calls that had to wait for queue space.
+    backpressure_waits: u64 = atomic(1), counter("backpressure_waits_total"),
+        "Blocking submit calls that waited for queue space.";
+    /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
+    race_jobs: u64 = atomic(1), counter("race_jobs_total"), "Portfolio-race jobs completed.";
+    /// Retry attempts: tries re-run after a retryable failure (panic or
+    /// injected error) under the service's [`crate::fault::RetryPolicy`].
+    jobs_retried: u64 = atomic(1), counter("jobs_retried_total"),
+        "Retry attempts after retryable failures (panics, injected errors).";
+    /// Jobs that still failed retryably after exhausting the retry budget.
+    retries_exhausted: u64 = atomic(1), counter("retries_exhausted_total"),
+        "Jobs that failed retryably after exhausting the retry budget.";
+    /// Jobs that failed with
+    /// [`crate::service::JobError::DeadlineExceeded`].
+    deadlines_exceeded: u64 = atomic(1), counter("deadlines_exceeded_total"),
+        "Jobs that missed their per-job deadline.";
+    /// Backend circuit breakers tripped open (threshold reached or a
+    /// half-open probe failed). Breaker state and the retry counters above
+    /// are the failure-cost telemetry the ROADMAP's cost-aware routing
+    /// (item 4) will fold into its per-backend cost model.
+    breaker_opened: u64 = atomic(1), counter("breaker_opened_total"),
+        "Backend circuit breakers tripped open.";
+    /// Open breakers moved to half-open after their cooldown elapsed.
+    breaker_half_opened: u64 = atomic(1), counter("breaker_half_opened_total"),
+        "Open breakers moved to half-open after cooldown.";
+    /// Tripped breakers re-closed by a success.
+    breaker_closed: u64 = atomic(1), counter("breaker_closed_total"),
+        "Tripped breakers re-closed by a success.";
+    /// Compile time avoided by sharing one compilation per job across every
+    /// dispatched backend (races amortize it k ways). See
+    /// [`Metrics::on_compile_shared`].
+    compile_seconds_saved: f64 = atomic(1e9), counter("compile_seconds_saved_total"),
+        "Compile time avoided by compile-once sharing.";
+    /// Job traces recorded over the service's lifetime (retained or
+    /// dropped). Zero on bare [`Metrics::report`] snapshots.
+    traces_recorded: u64 = service, counter("traces_recorded_total"),
+        "Job traces recorded (retained or dropped).";
+    /// Job traces lost to ring wraparound or slot contention.
+    traces_dropped: u64 = service, counter("traces_dropped_total"),
+        "Job traces lost to ring wraparound or slot contention.";
+    /// Jobs sitting in the service queue right now.
+    queue_depth: u64 = atomic(1), gauge("queue_depth"),
+        "Jobs sitting in the service queue right now.";
+    /// Deepest the queue has ever been.
+    queue_depth_peak: u64 = atomic(1), gauge("queue_depth_peak"),
+        "Deepest the queue has ever been.";
+    /// Predicted seconds of backend work sitting in the service queue
+    /// right now — the sum of every queued job's cost-model prediction.
+    /// This, not `queue_depth`, is what watermark shedding and
+    /// `retry_after_hint` reason about: ten queued 26-variable exact jobs
+    /// are a deeper backlog than a hundred 4-variable anneals. Zero on
+    /// bare [`Metrics::report`] snapshots — populated by
+    /// [`crate::service::SolverService::report`]; merged reports sum it.
+    queue_backlog_seconds: f64 = service, gauge("queue_backlog_seconds"),
+        "Predicted seconds of backend work sitting in the queue right now.";
+    /// Jobs that passed cluster admission control and were enqueued here.
+    /// Zero outside a [`crate::cluster::ClusterService`].
+    jobs_admitted: u64 = atomic(1), counter("jobs_admitted_total", shard),
+        "Jobs that passed cluster admission control and were enqueued.";
+    /// Jobs shed before enqueue (empty tenant token bucket or queue depth
+    /// over the shedding watermark). Shed jobs were never submitted, so
+    /// they are in no other ledger bucket.
+    jobs_shed: u64 = atomic(1), counter("jobs_shed_total", shard),
+        "Jobs shed before enqueue (token bucket empty or queue over watermark).";
+    /// Queued jobs migrated away from this shard to rebalance queue depths
+    /// (counted on the donor).
+    migrations: u64 = atomic(1), counter("migrations_total", shard),
+        "Queued jobs migrated between shards to rebalance depth.";
+    /// Jobs routed or drained to this shard because their home shard was
+    /// unhealthy (counted on the recipient).
+    failovers: u64 = atomic(1), counter("failovers_total", shard),
+        "Jobs routed or drained here because their home shard was unhealthy.";
+    /// Jobs replayed from a durable journal during crash recovery.
+    jobs_recovered: u64 = atomic(1), counter("jobs_recovered_total", shard),
+        "Jobs replayed from a durable journal during crash recovery.";
+    /// Cache entries exported into solution snapshots.
+    snapshot_saved: u64 = atomic(1), counter("snapshot_saved_entries_total", shard),
+        "Cache entries exported into solution snapshots.";
+    /// Cache entries restored from solution snapshots.
+    snapshot_loaded: u64 = atomic(1), counter("snapshot_loaded_entries_total", shard),
+        "Cache entries restored from solution snapshots.";
+    /// Total backend wall time spent solving (cache hits cost none; race
+    /// jobs include every participant's time, not just the winner's).
+    solve_seconds_total: f64 = atomic(1e6), unexported;
+    /// Sum of the solves in [`Self::latency_histogram`]: each cache-missing
+    /// job's winning solve, race losers excluded, so it and the
+    /// histogram's count give the mean solve latency. Rendered as the
+    /// solve-latency histogram's `_sum`.
+    latency_seconds_total: f64 = atomic(1e6), histogram_sum;
+    /// Total caller-observed enqueue→result time across delivered jobs
+    /// (cache hits and coalesced followers included).
+    served_seconds_total: f64 = atomic(1e6), histogram_sum;
+}
+
 /// Thread-safe runtime counters, updated by workers as jobs complete.
 #[derive(Default)]
 pub struct Metrics {
-    jobs_submitted: AtomicU64,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_coalesced: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    backpressure_rejections: AtomicU64,
-    backpressure_waits: AtomicU64,
+    ledger: Ledger,
     latency: [AtomicU64; LATENCY_BUCKETS],
     served_latency: [AtomicU64; LATENCY_BUCKETS],
-    solve_seconds_total_micros: AtomicU64,
-    served_seconds_total_micros: AtomicU64,
-    compile_saved_nanos: AtomicU64,
-    race_jobs: AtomicU64,
-    jobs_admitted: AtomicU64,
-    jobs_shed: AtomicU64,
-    migrations: AtomicU64,
-    jobs_retried: AtomicU64,
-    retries_exhausted: AtomicU64,
-    deadlines_exceeded: AtomicU64,
-    breaker_opened: AtomicU64,
-    breaker_half_opened: AtomicU64,
-    breaker_closed: AtomicU64,
-    failovers: AtomicU64,
-    jobs_recovered: AtomicU64,
-    snapshot_saved: AtomicU64,
-    snapshot_loaded: AtomicU64,
     per_backend: Mutex<BTreeMap<String, u64>>,
     race_wins: Mutex<BTreeMap<String, u64>>,
 }
@@ -92,22 +315,24 @@ impl Metrics {
 
     /// Records `n` newly submitted jobs.
     pub fn on_submit(&self, n: u64) {
-        self.jobs_submitted.fetch_add(n, Ordering::Relaxed);
+        self.ledger.jobs_submitted.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records a job served from the result cache.
     pub fn on_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_completed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job that missed the cache and was solved on `backend` in
-    /// `seconds` of wall time.
+    /// `seconds` of wall time (a race's winning solve), in the solve
+    /// histogram, its sum, and the all-participants total.
     pub fn on_solved(&self, backend: &str, seconds: f64) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_completed.fetch_add(1, Ordering::Relaxed);
         let (micros, bucket) = latency_bucket(seconds);
-        self.solve_seconds_total_micros.fetch_add(micros, Ordering::Relaxed);
+        self.ledger.solve_seconds_total.fetch_add(micros, Ordering::Relaxed);
+        self.ledger.latency_seconds_total.fetch_add(micros, Ordering::Relaxed);
         self.latency[bucket].fetch_add(1, Ordering::Relaxed);
         *self.per_backend.lock_unpoisoned().entry(backend.to_string()).or_insert(0) += 1;
     }
@@ -119,40 +344,40 @@ impl Metrics {
     /// callers actually wait.
     pub fn on_served(&self, seconds: f64) {
         let (micros, bucket) = latency_bucket(seconds);
-        self.served_seconds_total_micros.fetch_add(micros, Ordering::Relaxed);
+        self.ledger.served_seconds_total.fetch_add(micros, Ordering::Relaxed);
         self.served_latency[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job that could not be placed on any backend.
     pub fn on_failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_failed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job entering the service queue, tracking the depth peak.
     pub fn on_enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        let depth = self.ledger.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.ledger.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Records a job leaving the service queue (picked up or cancelled).
     pub fn on_dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.ledger.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a `try_submit` rejected by a full session queue.
     pub fn on_backpressure_rejection(&self) {
-        self.backpressure_rejections.fetch_add(1, Ordering::Relaxed);
+        self.ledger.backpressure_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a blocking `submit` that had to wait for queue space.
     pub fn on_backpressure_wait(&self) {
-        self.backpressure_waits.fetch_add(1, Ordering::Relaxed);
+        self.ledger.backpressure_waits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a cancellation that took effect (queued job removed, or a
     /// running job marked to report `Cancelled`).
     pub fn on_cancelled(&self) {
-        self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reconciles the ledger for a job whose solve finished but whose
@@ -162,7 +387,7 @@ impl Metrics {
     /// `jobs_completed` too would double-count it: one submitted job must
     /// land in exactly one of completed / failed / cancelled.
     pub fn on_completion_converted_to_cancel(&self) {
-        self.jobs_completed.fetch_sub(1, Ordering::Relaxed);
+        self.ledger.jobs_completed.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The failure-side twin of
@@ -171,7 +396,7 @@ impl Metrics {
     /// the delivered outcome was converted to `Cancelled` — it must count
     /// cancelled, not failed.
     pub fn on_failure_converted_to_cancel(&self) {
-        self.jobs_failed.fetch_sub(1, Ordering::Relaxed);
+        self.ledger.jobs_failed.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a job that parked on another in-flight job with the same
@@ -181,20 +406,20 @@ impl Metrics {
     /// by [`Self::on_coalesce_abandoned`] if the leader vanished and the
     /// park produced nothing.
     pub fn on_coalesced(&self) {
-        self.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reverses one [`Self::on_coalesced`]: the parked job's leader
     /// panicked without publishing, so the job retries (possibly solving
     /// itself) and its park suppressed no duplicate work after all.
     pub fn on_coalesce_abandoned(&self) {
-        self.jobs_coalesced.fetch_sub(1, Ordering::Relaxed);
+        self.ledger.jobs_coalesced.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a coalesced job served from its leader's published result
     /// (neither a cache hit nor a miss: the cache was never consulted).
     pub fn on_coalesced_served(&self) {
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_completed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records compile time the compile-once pipeline avoided: a job whose
@@ -202,29 +427,30 @@ impl Metrics {
     /// backends would have compiled `consumers` times under a per-backend
     /// scheme, so `(consumers - 1) × compile_seconds` was saved.
     pub fn on_compile_shared(&self, compile_seconds: f64, consumers: u64) {
-        let saved = compile_seconds * consumers.saturating_sub(1) as f64;
-        self.compile_saved_nanos.fetch_add((saved * 1e9).max(0.0) as u64, Ordering::Relaxed);
+        let saved_nanos = (compile_seconds * consumers.saturating_sub(1) as f64 * 1e9).max(0.0);
+        self.ledger.compile_seconds_saved.fetch_add(saved_nanos as u64, Ordering::Relaxed);
     }
 
     /// Records backend wall time burned by a race's *non-winning*
     /// participants (the winner's time arrives via [`Self::on_solved`]), so
     /// [`RuntimeReport::solve_seconds_total`] stays an honest sum of all
-    /// backend work instead of under-reporting races k-fold.
+    /// backend work instead of under-reporting races k-fold. The solve
+    /// histogram and its sum never see this time.
     pub fn on_race_participant_time(&self, seconds: f64) {
-        let micros = (seconds * 1e6).max(0.0) as u64;
-        self.solve_seconds_total_micros.fetch_add(micros, Ordering::Relaxed);
+        let (micros, _) = latency_bucket(seconds);
+        self.ledger.solve_seconds_total.fetch_add(micros, Ordering::Relaxed);
     }
 
     /// Records a completed portfolio race and its winning backend.
     pub fn on_race(&self, winner: &str) {
-        self.race_jobs.fetch_add(1, Ordering::Relaxed);
+        self.ledger.race_jobs.fetch_add(1, Ordering::Relaxed);
         *self.race_wins.lock_unpoisoned().entry(winner.to_string()).or_insert(0) += 1;
     }
 
     /// Records a job that passed cluster admission control (token bucket
     /// and load-shedding watermark) and was enqueued on this shard.
     pub fn on_admitted(&self) {
-        self.jobs_admitted.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_admitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job shed before enqueue — its tenant's token bucket was
@@ -232,77 +458,77 @@ impl Metrics {
     /// Shed jobs never enter the queue, so they appear in no other ledger
     /// bucket.
     pub fn on_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a queued job migrated between shards to rebalance queue
     /// depths. Counted on the **donor** shard (the job left its queue).
     pub fn on_migrated(&self) {
-        self.migrations.fetch_add(1, Ordering::Relaxed);
+        self.ledger.migrations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retry attempt: a job whose try failed retryably (panic
     /// or injected error) and was put back through processing under the
     /// service's [`crate::fault::RetryPolicy`].
     pub fn on_retried(&self) {
-        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_retried.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job that failed retryably *after* exhausting its retry
     /// budget — the failure the policy could not absorb.
     pub fn on_retries_exhausted(&self) {
-        self.retries_exhausted.fetch_add(1, Ordering::Relaxed);
+        self.ledger.retries_exhausted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job that failed with
     /// [`crate::service::JobError::DeadlineExceeded`].
     pub fn on_deadline_exceeded(&self) {
-        self.deadlines_exceeded.fetch_add(1, Ordering::Relaxed);
+        self.ledger.deadlines_exceeded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a backend circuit breaker tripping open (consecutive
     /// failures reached the threshold, or a half-open probe failed).
     pub fn on_breaker_opened(&self) {
-        self.breaker_opened.fetch_add(1, Ordering::Relaxed);
+        self.ledger.breaker_opened.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an open breaker moving to half-open after its cooldown:
     /// probe traffic is admitted again.
     pub fn on_breaker_half_opened(&self) {
-        self.breaker_half_opened.fetch_add(1, Ordering::Relaxed);
+        self.ledger.breaker_half_opened.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a tripped breaker re-closing on a success.
     pub fn on_breaker_closed(&self) {
-        self.breaker_closed.fetch_add(1, Ordering::Relaxed);
+        self.ledger.breaker_closed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job routed (or drained) away from an unhealthy shard to
     /// this shard. Counted on the **recipient** shard.
     pub fn on_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
+        self.ledger.failovers.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a job replayed from a durable journal during crash recovery.
     pub fn on_recovered(&self) {
-        self.jobs_recovered.fetch_add(1, Ordering::Relaxed);
+        self.ledger.jobs_recovered.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `entries` cache entries exported into a solution snapshot.
     pub fn on_snapshot_saved(&self, entries: u64) {
-        self.snapshot_saved.fetch_add(entries, Ordering::Relaxed);
+        self.ledger.snapshot_saved.fetch_add(entries, Ordering::Relaxed);
     }
 
     /// Records `entries` cache entries restored from a solution snapshot.
     pub fn on_snapshot_loaded(&self, entries: u64) {
-        self.snapshot_loaded.fetch_add(entries, Ordering::Relaxed);
+        self.ledger.snapshot_loaded.fetch_add(entries, Ordering::Relaxed);
     }
 
     /// Current queue depth, as tracked by [`Self::on_enqueue`] /
     /// [`Self::on_dequeue`]. The cluster's default depth probe reads this
     /// for watermark and migration decisions.
     pub(crate) fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
+        self.ledger.queue_depth.load(Ordering::Relaxed)
     }
 
     /// Snapshots every counter into an immutable report. Map-like fields
@@ -310,64 +536,21 @@ impl Metrics {
     /// equal reports. The portfolio-telemetry and trace fields are empty
     /// here — [`crate::service::SolverService::report`] fills them in.
     pub fn report(&self) -> RuntimeReport {
-        let per_backend: Vec<(String, u64)> = self
-            .per_backend
-            .lock()
-            .expect("metrics lock")
-            .iter()
-            .map(|(name, &count)| (name.clone(), count))
-            .collect();
-        let race_wins: Vec<(String, u64)> = self
-            .race_wins
-            .lock()
-            .expect("metrics lock")
-            .iter()
-            .map(|(name, &count)| (name.clone(), count))
-            .collect();
-        RuntimeReport {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_coalesced: self.jobs_coalesced.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
-            backpressure_waits: self.backpressure_waits.load(Ordering::Relaxed),
-            solve_seconds_total: self.solve_seconds_total_micros.load(Ordering::Relaxed) as f64
-                / 1e6,
-            served_seconds_total: self.served_seconds_total_micros.load(Ordering::Relaxed) as f64
-                / 1e6,
-            compile_seconds_saved: self.compile_saved_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            race_jobs: self.race_jobs.load(Ordering::Relaxed),
-            jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            retries_exhausted: self.retries_exhausted.load(Ordering::Relaxed),
-            deadlines_exceeded: self.deadlines_exceeded.load(Ordering::Relaxed),
-            breaker_opened: self.breaker_opened.load(Ordering::Relaxed),
-            breaker_half_opened: self.breaker_half_opened.load(Ordering::Relaxed),
-            breaker_closed: self.breaker_closed.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            jobs_recovered: self.jobs_recovered.load(Ordering::Relaxed),
-            snapshot_saved: self.snapshot_saved.load(Ordering::Relaxed),
-            snapshot_loaded: self.snapshot_loaded.load(Ordering::Relaxed),
-            latency_histogram: std::array::from_fn(|i| self.latency[i].load(Ordering::Relaxed)),
-            served_latency_histogram: std::array::from_fn(|i| {
-                self.served_latency[i].load(Ordering::Relaxed)
-            }),
-            per_backend,
-            race_wins,
-            backend_telemetry: Vec::new(),
-            traces_recorded: 0,
-            traces_dropped: 0,
-            queue_backlog_seconds: 0.0,
-            shard: None,
-            shard_queue_depths: Vec::new(),
-        }
+        let load = |buckets: &[AtomicU64; LATENCY_BUCKETS]| {
+            std::array::from_fn(|i| buckets[i].load(Ordering::Relaxed))
+        };
+        let snapshot = |map: &Mutex<BTreeMap<String, u64>>| {
+            map.lock_unpoisoned().iter().map(|(name, &count)| (name.clone(), count)).collect()
+        };
+        let mut report = RuntimeReport {
+            latency_histogram: load(&self.latency),
+            served_latency_histogram: load(&self.served_latency),
+            per_backend: snapshot(&self.per_backend),
+            race_wins: snapshot(&self.race_wins),
+            ..RuntimeReport::default()
+        };
+        self.ledger.load_into(&mut report);
+        report
     }
 }
 
@@ -398,124 +581,6 @@ pub struct BackendTelemetry {
     pub estimation_error_factor: f64,
 }
 
-/// An immutable snapshot of the service's counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeReport {
-    /// Jobs accepted into the queue.
-    pub jobs_submitted: u64,
-    /// Jobs answered (solved or served from cache).
-    pub jobs_completed: u64,
-    /// Jobs that failed routing (no eligible backend).
-    pub jobs_failed: u64,
-    /// Cancellations that took effect (queued jobs removed before a worker
-    /// picked them up, plus running jobs marked to report `Cancelled`).
-    /// A job cancelled mid-run counts here and **not** in `jobs_completed`,
-    /// even though its solve finished and populated the cache.
-    pub jobs_cancelled: u64,
-    /// Jobs that coalesced onto a concurrent in-flight duplicate
-    /// (single-flight): served from the leader's result without compiling,
-    /// solving, or touching the hit/miss counters.
-    pub jobs_coalesced: u64,
-    /// Jobs served from the result cache.
-    pub cache_hits: u64,
-    /// Jobs that had to be solved.
-    pub cache_misses: u64,
-    /// Jobs sitting in the service queue right now.
-    pub queue_depth: u64,
-    /// Deepest the queue has ever been.
-    pub queue_depth_peak: u64,
-    /// `Session::try_submit` calls rejected with `QueueFull`.
-    pub backpressure_rejections: u64,
-    /// Blocking `Session::submit` calls that had to wait for queue space.
-    pub backpressure_waits: u64,
-    /// Total backend wall time spent solving (cache hits cost none; race
-    /// jobs include every participant's time, not just the winner's).
-    pub solve_seconds_total: f64,
-    /// Total caller-observed enqueue→result time across delivered jobs
-    /// (cache hits and coalesced followers included).
-    pub served_seconds_total: f64,
-    /// Compile time avoided by sharing one compilation per job across every
-    /// dispatched backend (races amortize it k ways). See
-    /// [`Metrics::on_compile_shared`].
-    pub compile_seconds_saved: f64,
-    /// Portfolio-race jobs completed ([`crate::service::BackendChoice::Race`]).
-    pub race_jobs: u64,
-    /// Jobs that passed cluster admission control and were enqueued here.
-    /// Zero outside a [`crate::cluster::ClusterService`].
-    pub jobs_admitted: u64,
-    /// Jobs shed before enqueue (empty tenant token bucket or queue depth
-    /// over the shedding watermark). Shed jobs were never submitted, so
-    /// they are in no other ledger bucket.
-    pub jobs_shed: u64,
-    /// Queued jobs migrated away from this shard to rebalance queue depths
-    /// (counted on the donor).
-    pub migrations: u64,
-    /// Retry attempts: tries re-run after a retryable failure (panic or
-    /// injected error) under the service's [`crate::fault::RetryPolicy`].
-    pub jobs_retried: u64,
-    /// Jobs that still failed retryably after exhausting the retry budget.
-    pub retries_exhausted: u64,
-    /// Jobs that failed with
-    /// [`crate::service::JobError::DeadlineExceeded`].
-    pub deadlines_exceeded: u64,
-    /// Backend circuit breakers tripped open (threshold reached or a
-    /// half-open probe failed). Breaker state and the retry counters above
-    /// are the failure-cost telemetry the ROADMAP's cost-aware routing
-    /// (item 4) will fold into its per-backend cost model.
-    pub breaker_opened: u64,
-    /// Open breakers moved to half-open after their cooldown elapsed.
-    pub breaker_half_opened: u64,
-    /// Tripped breakers re-closed by a success.
-    pub breaker_closed: u64,
-    /// Jobs routed or drained to this shard because their home shard was
-    /// unhealthy (counted on the recipient).
-    pub failovers: u64,
-    /// Jobs replayed from a durable journal during crash recovery.
-    pub jobs_recovered: u64,
-    /// Cache entries exported into solution snapshots.
-    pub snapshot_saved: u64,
-    /// Cache entries restored from solution snapshots.
-    pub snapshot_loaded: u64,
-    /// Solve-latency histogram; bucket `i` counts solves in
-    /// `[2^i, 2^(i+1))` µs. Cache hits and coalesced followers are *not* in
-    /// here — see [`Self::served_latency_histogram`].
-    pub latency_histogram: [u64; LATENCY_BUCKETS],
-    /// Caller-observed serve-latency histogram (same bucketing): one entry
-    /// per delivered job — solved, cache hit, or coalesced — measuring
-    /// enqueue→result, so its p99 reflects what callers actually wait.
-    pub served_latency_histogram: [u64; LATENCY_BUCKETS],
-    /// `(backend, jobs solved)` sorted by backend name.
-    pub per_backend: Vec<(String, u64)>,
-    /// `(backend, races won)` sorted by backend name.
-    pub race_wins: Vec<(String, u64)>,
-    /// Per-backend EWMA latency/quality telemetry from the portfolio
-    /// router, sorted by backend name; backends with zero observations are
-    /// omitted. Empty on bare [`Metrics::report`] snapshots — populated by
-    /// [`crate::service::SolverService::report`].
-    pub backend_telemetry: Vec<BackendTelemetry>,
-    /// Job traces recorded over the service's lifetime (retained or
-    /// dropped). Zero on bare [`Metrics::report`] snapshots.
-    pub traces_recorded: u64,
-    /// Job traces lost to ring wraparound or slot contention.
-    pub traces_dropped: u64,
-    /// Predicted seconds of backend work sitting in the service queue
-    /// right now — the sum of every queued job's cost-model prediction.
-    /// This, not `queue_depth`, is what watermark shedding and
-    /// `retry_after_hint` reason about: ten queued 26-variable exact jobs
-    /// are a deeper backlog than a hundred 4-variable anneals. Zero on
-    /// bare [`Metrics::report`] snapshots — populated by
-    /// [`crate::service::SolverService::report`]; merged reports sum it.
-    pub queue_backlog_seconds: f64,
-    /// The shard this report describes: `Some(id)` for a shard inside a
-    /// [`crate::cluster::ClusterService`], `None` for a standalone service
-    /// or a merged cluster report.
-    pub shard: Option<u64>,
-    /// Per-shard `(shard id, current queue depth)` breakdown, sorted by
-    /// shard id. Empty except on reports produced by
-    /// [`RuntimeReport::merge`] over shard-tagged inputs.
-    pub shard_queue_depths: Vec<(u64, u64)>,
-}
-
 impl RuntimeReport {
     /// Merges per-shard reports into one aggregate: counters and seconds
     /// totals sum, histograms sum **bucket-wise** (so the quantile readers
@@ -528,81 +593,12 @@ impl RuntimeReport {
     /// input that was shard-tagged (nested breakdowns from already-merged
     /// inputs are carried through).
     pub fn merge<'a>(reports: impl IntoIterator<Item = &'a RuntimeReport>) -> RuntimeReport {
-        let mut merged = RuntimeReport {
-            jobs_submitted: 0,
-            jobs_completed: 0,
-            jobs_failed: 0,
-            jobs_cancelled: 0,
-            jobs_coalesced: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            queue_depth: 0,
-            queue_depth_peak: 0,
-            backpressure_rejections: 0,
-            backpressure_waits: 0,
-            solve_seconds_total: 0.0,
-            served_seconds_total: 0.0,
-            compile_seconds_saved: 0.0,
-            race_jobs: 0,
-            jobs_admitted: 0,
-            jobs_shed: 0,
-            migrations: 0,
-            jobs_retried: 0,
-            retries_exhausted: 0,
-            deadlines_exceeded: 0,
-            breaker_opened: 0,
-            breaker_half_opened: 0,
-            breaker_closed: 0,
-            failovers: 0,
-            jobs_recovered: 0,
-            snapshot_saved: 0,
-            snapshot_loaded: 0,
-            latency_histogram: [0; LATENCY_BUCKETS],
-            served_latency_histogram: [0; LATENCY_BUCKETS],
-            per_backend: Vec::new(),
-            race_wins: Vec::new(),
-            backend_telemetry: Vec::new(),
-            traces_recorded: 0,
-            traces_dropped: 0,
-            queue_backlog_seconds: 0.0,
-            shard: None,
-            shard_queue_depths: Vec::new(),
-        };
+        let mut merged = RuntimeReport::default();
         let mut per_backend: BTreeMap<String, u64> = BTreeMap::new();
         let mut race_wins: BTreeMap<String, u64> = BTreeMap::new();
         let mut telemetry: BTreeMap<String, BackendTelemetry> = BTreeMap::new();
         for r in reports {
-            merged.jobs_submitted += r.jobs_submitted;
-            merged.jobs_completed += r.jobs_completed;
-            merged.jobs_failed += r.jobs_failed;
-            merged.jobs_cancelled += r.jobs_cancelled;
-            merged.jobs_coalesced += r.jobs_coalesced;
-            merged.cache_hits += r.cache_hits;
-            merged.cache_misses += r.cache_misses;
-            merged.queue_depth += r.queue_depth;
-            merged.queue_depth_peak += r.queue_depth_peak;
-            merged.backpressure_rejections += r.backpressure_rejections;
-            merged.backpressure_waits += r.backpressure_waits;
-            merged.solve_seconds_total += r.solve_seconds_total;
-            merged.served_seconds_total += r.served_seconds_total;
-            merged.compile_seconds_saved += r.compile_seconds_saved;
-            merged.race_jobs += r.race_jobs;
-            merged.jobs_admitted += r.jobs_admitted;
-            merged.jobs_shed += r.jobs_shed;
-            merged.migrations += r.migrations;
-            merged.jobs_retried += r.jobs_retried;
-            merged.retries_exhausted += r.retries_exhausted;
-            merged.deadlines_exceeded += r.deadlines_exceeded;
-            merged.breaker_opened += r.breaker_opened;
-            merged.breaker_half_opened += r.breaker_half_opened;
-            merged.breaker_closed += r.breaker_closed;
-            merged.failovers += r.failovers;
-            merged.jobs_recovered += r.jobs_recovered;
-            merged.snapshot_saved += r.snapshot_saved;
-            merged.snapshot_loaded += r.snapshot_loaded;
-            merged.traces_recorded += r.traces_recorded;
-            merged.traces_dropped += r.traces_dropped;
-            merged.queue_backlog_seconds += r.queue_backlog_seconds;
+            merged.add_scalars(r);
             for i in 0..LATENCY_BUCKETS {
                 merged.latency_histogram[i] += r.latency_histogram[i];
                 merged.served_latency_histogram[i] += r.served_latency_histogram[i];
@@ -619,16 +615,13 @@ impl RuntimeReport {
                     .and_modify(|acc| {
                         let (a, b) = (acc.observations as f64, t.observations as f64);
                         if a + b > 0.0 {
-                            acc.ewma_latency_seconds = (acc.ewma_latency_seconds * a
-                                + t.ewma_latency_seconds * b)
-                                / (a + b);
-                            acc.ewma_quality =
-                                (acc.ewma_quality * a + t.ewma_quality * b) / (a + b);
-                            acc.predicted_seconds =
-                                (acc.predicted_seconds * a + t.predicted_seconds * b) / (a + b);
-                            acc.estimation_error_factor = (acc.estimation_error_factor * a
-                                + t.estimation_error_factor * b)
-                                / (a + b);
+                            let avg = |x: f64, y: f64| (x * a + y * b) / (a + b);
+                            acc.ewma_latency_seconds =
+                                avg(acc.ewma_latency_seconds, t.ewma_latency_seconds);
+                            acc.ewma_quality = avg(acc.ewma_quality, t.ewma_quality);
+                            acc.predicted_seconds = avg(acc.predicted_seconds, t.predicted_seconds);
+                            acc.estimation_error_factor =
+                                avg(acc.estimation_error_factor, t.estimation_error_factor);
                         }
                         acc.observations += t.observations;
                         acc.race_entries += t.race_entries;
@@ -680,161 +673,12 @@ impl RuntimeReport {
     /// latency/quality gauges.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, value: f64| {
-            out.push_str(&format!(
-                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} counter\nqdm_{name} {value}\n"
-            ));
-        };
-        counter(
-            "jobs_submitted_total",
-            "Jobs accepted into the queue.",
-            self.jobs_submitted as f64,
-        );
-        counter(
-            "jobs_completed_total",
-            "Jobs answered (solved or served from cache).",
-            self.jobs_completed as f64,
-        );
-        counter(
-            "jobs_failed_total",
-            "Jobs that failed routing (no eligible backend).",
-            self.jobs_failed as f64,
-        );
-        counter(
-            "jobs_cancelled_total",
-            "Cancellations that took effect.",
-            self.jobs_cancelled as f64,
-        );
-        counter(
-            "jobs_coalesced_total",
-            "Jobs coalesced onto a concurrent in-flight duplicate.",
-            self.jobs_coalesced as f64,
-        );
-        counter("cache_hits_total", "Jobs served from the result cache.", self.cache_hits as f64);
-        counter("cache_misses_total", "Jobs that had to be solved.", self.cache_misses as f64);
-        counter(
-            "backpressure_rejections_total",
-            "try_submit calls rejected by a full session queue.",
-            self.backpressure_rejections as f64,
-        );
-        counter(
-            "backpressure_waits_total",
-            "Blocking submit calls that waited for queue space.",
-            self.backpressure_waits as f64,
-        );
-        counter("race_jobs_total", "Portfolio-race jobs completed.", self.race_jobs as f64);
-        counter(
-            "jobs_retried_total",
-            "Retry attempts after retryable failures (panics, injected errors).",
-            self.jobs_retried as f64,
-        );
-        counter(
-            "retries_exhausted_total",
-            "Jobs that failed retryably after exhausting the retry budget.",
-            self.retries_exhausted as f64,
-        );
-        counter(
-            "deadlines_exceeded_total",
-            "Jobs that missed their per-job deadline.",
-            self.deadlines_exceeded as f64,
-        );
-        counter(
-            "breaker_opened_total",
-            "Backend circuit breakers tripped open.",
-            self.breaker_opened as f64,
-        );
-        counter(
-            "breaker_half_opened_total",
-            "Open breakers moved to half-open after cooldown.",
-            self.breaker_half_opened as f64,
-        );
-        counter(
-            "breaker_closed_total",
-            "Tripped breakers re-closed by a success.",
-            self.breaker_closed as f64,
-        );
-        counter(
-            "compile_seconds_saved_total",
-            "Compile time avoided by compile-once sharing.",
-            self.compile_seconds_saved,
-        );
-        counter(
-            "traces_recorded_total",
-            "Job traces recorded (retained or dropped).",
-            self.traces_recorded as f64,
-        );
-        counter(
-            "traces_dropped_total",
-            "Job traces lost to ring wraparound or slot contention.",
-            self.traces_dropped as f64,
-        );
-        let mut gauge = |name: &str, help: &str, value: f64| {
-            out.push_str(&format!(
-                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} gauge\nqdm_{name} {value}\n"
-            ));
-        };
-        gauge(
-            "queue_depth",
-            "Jobs sitting in the service queue right now.",
-            self.queue_depth as f64,
-        );
-        gauge("queue_depth_peak", "Deepest the queue has ever been.", self.queue_depth_peak as f64);
-        gauge(
-            "queue_backlog_seconds",
-            "Predicted seconds of backend work sitting in the queue right now.",
-            self.queue_backlog_seconds,
-        );
-
-        // Cluster admission/shedding counters carry the shard id as a label
-        // when this report describes one shard of a cluster.
-        let shard_label = self.shard.map(|s| format!("{{shard=\"{s}\"}}")).unwrap_or_default();
-        for (name, help, value) in [
-            (
-                "jobs_admitted_total",
-                "Jobs that passed cluster admission control and were enqueued.",
-                self.jobs_admitted as f64,
-            ),
-            (
-                "jobs_shed_total",
-                "Jobs shed before enqueue (token bucket empty or queue over watermark).",
-                self.jobs_shed as f64,
-            ),
-            (
-                "migrations_total",
-                "Queued jobs migrated between shards to rebalance depth.",
-                self.migrations as f64,
-            ),
-            (
-                "failovers_total",
-                "Jobs routed or drained here because their home shard was unhealthy.",
-                self.failovers as f64,
-            ),
-            (
-                "jobs_recovered_total",
-                "Jobs replayed from a durable journal during crash recovery.",
-                self.jobs_recovered as f64,
-            ),
-            (
-                "snapshot_saved_entries_total",
-                "Cache entries exported into solution snapshots.",
-                self.snapshot_saved as f64,
-            ),
-            (
-                "snapshot_loaded_entries_total",
-                "Cache entries restored from solution snapshots.",
-                self.snapshot_loaded as f64,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP qdm_{name} {help}\n# TYPE qdm_{name} counter\nqdm_{name}{shard_label} {value}\n"
-            ));
-        }
+        self.render_scalars(&mut out);
         if !self.shard_queue_depths.is_empty() {
-            out.push_str("# HELP qdm_shard_queue_depth Jobs queued on the shard right now.\n");
-            out.push_str("# TYPE qdm_shard_queue_depth gauge\n");
-            for (shard, depth) in &self.shard_queue_depths {
-                out.push_str(&format!("qdm_shard_queue_depth{{shard=\"{shard}\"}} {depth}\n"));
-            }
+            let help = "Jobs queued on the shard right now.";
+            let depths = self.shard_queue_depths.iter();
+            let samples = depths.map(|(s, depth)| (format!("{{shard=\"{s}\"}}"), *depth as f64));
+            push_series(&mut out, "shard_queue_depth", "gauge", help, samples);
         }
 
         render_prom_histogram(
@@ -842,7 +686,7 @@ impl RuntimeReport {
             "solve_latency_seconds",
             "Backend solve wall time per cache-missing job.",
             &self.latency_histogram,
-            self.solve_seconds_total,
+            self.latency_seconds_total,
         );
         render_prom_histogram(
             &mut out,
@@ -852,62 +696,63 @@ impl RuntimeReport {
             self.served_seconds_total,
         );
 
-        out.push_str("# HELP qdm_backend_jobs_total Jobs solved per backend.\n");
-        out.push_str("# TYPE qdm_backend_jobs_total counter\n");
-        for (name, count) in &self.per_backend {
-            out.push_str(&format!("qdm_backend_jobs_total{{backend=\"{name}\"}} {count}\n"));
-        }
-        out.push_str("# HELP qdm_race_wins_total Races won per backend.\n");
-        out.push_str("# TYPE qdm_race_wins_total counter\n");
-        for (name, count) in &self.race_wins {
-            out.push_str(&format!("qdm_race_wins_total{{backend=\"{name}\"}} {count}\n"));
+        for (name, help, table) in [
+            ("backend_jobs_total", "Jobs solved per backend.", &self.per_backend),
+            ("race_wins_total", "Races won per backend.", &self.race_wins),
+        ] {
+            let samples =
+                table.iter().map(|(backend, n)| (format!("{{backend=\"{backend}\"}}"), *n as f64));
+            push_series(&mut out, name, "counter", help, samples);
         }
 
-        let telemetry = [
+        let telemetry: [TelemetrySeries; 6] = [
             (
                 "backend_observations_total",
                 "counter",
                 "Solve observations folded into the backend's EWMAs.",
+                |t| t.observations as f64,
             ),
             (
                 "backend_ewma_latency_seconds",
                 "gauge",
                 "EWMA solve latency the portfolio router routes on.",
+                |t| t.ewma_latency_seconds,
             ),
             (
                 "backend_ewma_quality",
                 "gauge",
                 "EWMA solution quality (lower is better) the router routes on.",
+                |t| t.ewma_quality,
             ),
-            ("backend_race_entries_total", "counter", "Races the backend was entered into."),
+            ("backend_race_entries_total", "counter", "Races the backend was entered into.", |t| {
+                t.race_entries as f64
+            }),
             (
                 "backend_predicted_seconds",
                 "gauge",
                 "EWMA of the cost model's predicted latency for the backend's recent jobs.",
+                |t| t.predicted_seconds,
             ),
             (
                 "backend_estimation_error_factor",
                 "gauge",
                 "EWMA symmetric predicted-vs-actual error factor (1.0 = perfect).",
+                |t| t.estimation_error_factor,
             ),
         ];
-        for (name, kind, help) in telemetry {
-            out.push_str(&format!("# HELP qdm_{name} {help}\n# TYPE qdm_{name} {kind}\n"));
-            for t in &self.backend_telemetry {
-                let value = match name {
-                    "backend_observations_total" => t.observations as f64,
-                    "backend_ewma_latency_seconds" => t.ewma_latency_seconds,
-                    "backend_ewma_quality" => t.ewma_quality,
-                    "backend_predicted_seconds" => t.predicted_seconds,
-                    "backend_estimation_error_factor" => t.estimation_error_factor,
-                    _ => t.race_entries as f64,
-                };
-                out.push_str(&format!("qdm_{name}{{backend=\"{}\"}} {value}\n", t.backend));
-            }
+        for (name, kind, help, value) in telemetry {
+            let samples = self
+                .backend_telemetry
+                .iter()
+                .map(|t| (format!("{{backend=\"{}\"}}", t.backend), value(t)));
+            push_series(&mut out, name, kind, help, samples);
         }
         out
     }
 }
+
+/// A per-backend telemetry series: name, type, help, and the value it reads.
+type TelemetrySeries = (&'static str, &'static str, &'static str, fn(&BackendTelemetry) -> f64);
 
 fn render_prom_histogram(
     out: &mut String,
@@ -1161,6 +1006,19 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("races:   3 jobs"), "{text}");
         assert!(text.contains("compile:"), "{text}");
+    }
+
+    #[test]
+    fn solve_histogram_sum_counts_only_the_solves_its_buckets_count() {
+        let m = Metrics::new();
+        m.on_solved("a", 0.001);
+        m.on_race_participant_time(0.002); // a race loser: ledger total only
+        let r = m.report();
+        assert_eq!(r.solve_seconds_total, 0.003, "the ledger total keeps every participant");
+        assert_eq!(r.latency_seconds_total, 0.001);
+        let text = r.render_prometheus();
+        assert!(text.contains("qdm_solve_latency_seconds_sum 0.001\n"), "{text}");
+        assert!(text.contains("qdm_solve_latency_seconds_count 1\n"), "{text}");
     }
 
     #[test]

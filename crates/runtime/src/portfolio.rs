@@ -19,13 +19,10 @@ use crate::registry::SolverRegistry;
 use crate::sync::LockExt;
 use std::sync::Mutex;
 
-/// Live routing statistics for one backend.
+/// Live routing statistics for one backend. Solve counts and the latency
+/// EWMA live in the cost model's [`crate::cost::CalibrationStats`].
 #[derive(Debug, Clone, Default)]
 pub struct BackendStats {
-    /// Jobs routed here so far.
-    pub observations: u64,
-    /// EWMA of solve latency in seconds.
-    pub ewma_latency: f64,
     /// EWMA of energy quality (0 = at the naive lower bound; higher is
     /// worse; infeasible decodes add a fixed penalty).
     pub ewma_quality: f64,
@@ -36,7 +33,8 @@ pub struct BackendStats {
     pub race_wins: u64,
 }
 
-/// EWMA smoothing factor: each new observation carries 20% weight.
+/// EWMA smoothing factor: each new observation carries 20% weight (the
+/// cost model's latency EWMA uses the same).
 const ALPHA: f64 = 0.2;
 
 /// Extra quality penalty for an infeasible decoded assignment.
@@ -162,20 +160,22 @@ impl PortfolioScheduler {
 
     /// The pre-cost-model ranking (raw latency EWMA seeded by the analytic
     /// curve, no reliability pricing, no shape extrapolation): an observed
-    /// backend is scored by its EWMA latency alone, however stale or
-    /// unrepresentative of this job's size. Kept as the baseline the
-    /// `runtime/cost` bench measures race-loser waste against.
+    /// backend is scored by the cost model's EWMA of observed seconds
+    /// alone, however stale or unrepresentative of this job's size. Kept as
+    /// the baseline the `runtime/cost` bench measures race-loser waste
+    /// against.
     pub fn rank_ewma_only(&self, registry: &SolverRegistry, n_vars: usize) -> Vec<usize> {
         let shape = CostShape::from_n_vars(n_vars);
         let eligible = registry.eligible(n_vars);
+        let calibration = self.cost.stats();
         let stats = self.stats.lock_unpoisoned();
         let mut scored: Vec<(usize, f64)> = eligible
             .into_iter()
             .map(|i| {
-                let expected = if stats[i].observations == 0 {
+                let expected = if calibration[i].observations == 0 {
                     analytic_seconds(&registry.get(i).spec, shape)
                 } else {
-                    stats[i].ewma_latency
+                    calibration[i].ewma_actual_seconds
                 };
                 (i, expected * (1.0 + QUALITY_WEIGHT * stats[i].ewma_quality))
             })
@@ -184,10 +184,10 @@ impl PortfolioScheduler {
         scored.into_iter().map(|(i, _)| i).collect()
     }
 
-    /// Feeds one completed solve back into the router: latency/quality
-    /// EWMAs for scoring, and the cost model's calibration ratio for the
-    /// same backend (observed seconds against the analytic estimate for
-    /// this job's `shape`).
+    /// Feeds one completed solve back into the router: the quality EWMA
+    /// for scoring, and the cost model's calibration for the same backend
+    /// (observed seconds against the analytic estimate for this job's
+    /// `shape`, plus its latency EWMA and solve count).
     ///
     /// `quality` should be the normalized energy gap produced by
     /// [`energy_quality`]; `feasible` is the decoded assignment's
@@ -201,24 +201,17 @@ impl PortfolioScheduler {
         quality: f64,
         feasible: bool,
     ) {
-        {
-            let mut stats = self.stats.lock_unpoisoned();
-            let s = &mut stats[backend];
-            let q = quality + if feasible { 0.0 } else { INFEASIBLE_PENALTY };
-            if s.observations == 0 {
-                s.ewma_latency = latency_seconds;
-                s.ewma_quality = q;
-            } else {
-                s.ewma_latency = (1.0 - ALPHA) * s.ewma_latency + ALPHA * latency_seconds;
-                s.ewma_quality = (1.0 - ALPHA) * s.ewma_quality + ALPHA * q;
-            }
-            s.observations += 1;
+        // The stats lock spans the cost model's update, so the quality
+        // EWMA's first-observation seed and the solve count move together.
+        let mut stats = self.stats.lock_unpoisoned();
+        let s = &mut stats[backend];
+        let q = quality + if feasible { 0.0 } else { INFEASIBLE_PENALTY };
+        let analytic = analytic_seconds(&registry.get(backend).spec, shape);
+        if self.cost.observe(backend, analytic, latency_seconds) == 1 {
+            s.ewma_quality = q;
+        } else {
+            s.ewma_quality = (1.0 - ALPHA) * s.ewma_quality + ALPHA * q;
         }
-        self.cost.observe(
-            backend,
-            analytic_seconds(&registry.get(backend).spec, shape),
-            latency_seconds,
-        );
     }
 
     /// Records a failure attributed to `backend`: prices its expected cost
@@ -390,6 +383,10 @@ mod tests {
         sched.record(&reg, sa, shape, analytic * 3.0, 0.0, true);
         let predicted = sched.cost_model().predict_seconds(sa, analytic);
         assert!((predicted - analytic * 3.0).abs() < 1e-12);
+        // The same solve seeds the latency EWMA and counts one observation.
+        let calibration = &sched.cost_model().stats()[sa];
+        assert_eq!(calibration.observations, 1);
+        assert_eq!(calibration.ewma_actual_seconds, analytic * 3.0);
     }
 
     #[test]

@@ -645,17 +645,18 @@ impl SolverService {
             .portfolio
             .stats()
             .iter()
+            .zip(&calibration)
             .enumerate()
-            .filter(|(_, s)| s.observations > 0)
-            .map(|(idx, s)| BackendTelemetry {
+            .filter(|(_, (_, c))| c.observations > 0)
+            .map(|(idx, (s, c))| BackendTelemetry {
                 backend: self.shared.registry.get(idx).spec.name.clone(),
-                observations: s.observations,
-                ewma_latency_seconds: s.ewma_latency,
+                observations: c.observations,
+                ewma_latency_seconds: c.ewma_actual_seconds,
                 ewma_quality: s.ewma_quality,
                 race_entries: s.race_entries,
                 race_wins: s.race_wins,
-                predicted_seconds: calibration[idx].ewma_predicted_seconds,
-                estimation_error_factor: calibration[idx].ewma_error_factor,
+                predicted_seconds: c.ewma_predicted_seconds,
+                estimation_error_factor: c.ewma_error_factor,
             })
             .collect();
         telemetry.sort_by(|a, b| a.backend.cmp(&b.backend));
@@ -2114,7 +2115,7 @@ mod tests {
         let entries: u64 = service.shared.portfolio.stats().iter().map(|s| s.race_entries).sum();
         assert_eq!(entries, 3, "every participant's outcome is recorded");
         let observations: u64 =
-            service.shared.portfolio.stats().iter().map(|s| s.observations).sum();
+            service.shared.portfolio.cost_model().stats().iter().map(|s| s.observations).sum();
         assert_eq!(observations, 3, "every participant feeds latency/quality telemetry");
     }
 
