@@ -2,7 +2,8 @@
 //! annealing scaling with problem size, and the compiled-CSR vs.
 //! BTreeMap-path comparison (`solvers/*`) whose headline ratio is printed
 //! as `solvers/compiled_speedup` and recorded in `BENCH_solvers.json` at
-//! the workspace root so future PRs have a perf trajectory to diff against.
+//! the workspace root so future PRs have a perf trajectory to diff against,
+//! together with one whole default-parameter SQA solve (`sqa_solve_ns`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdm_anneal::sa::{simulated_annealing, simulated_annealing_parallel, SaParams};
@@ -250,6 +251,18 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
         50,
     );
 
+    // One whole SQA solve at the service's default parameters, fixed seed:
+    // the kernel-level row behind SQA speedup claims.
+    let sqa_params = SqaParams::scaled_to(&q);
+    let sqa_ns = time_per(
+        &mut || {
+            let mut rng = StdRng::seed_from_u64(17);
+            black_box(simulated_quantum_annealing(&q, &sqa_params, &mut rng));
+        },
+        5,
+    );
+    println!("solvers/sqa_solve: {:.2} ms ({n} vars, default SQA parameters)", sqa_ns / 1e6);
+
     // Machine-readable baseline at the workspace root; hand-rolled JSON
     // because the serde shim has no serializer.
     let json = format!(
@@ -259,7 +272,8 @@ fn bench_compiled_vs_btreemap(c: &mut Criterion) {
          \"energy_ns\": {{\"btreemap\": {energy_model_ns:.0}, \
          \"compiled\": {energy_compiled_ns:.0}}},\n  \"flip_all_vars_ns\": \
          {{\"btreemap\": {flip_model_ns:.0}, \"compiled\": {flip_compiled_ns:.0}}},\n  \
-         \"compiled_speedup\": {speedup:.2},\n  \"layout_speedup\": {layout_speedup:.2}\n}}\n",
+         \"compiled_speedup\": {speedup:.2},\n  \"layout_speedup\": {layout_speedup:.2},\n  \
+         \"sqa_solve_ns\": {sqa_ns:.0}\n}}\n",
         m = q.n_interactions(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solvers.json");

@@ -26,6 +26,13 @@
 //! to **exactly** the configured capacity (the division remainder is spread
 //! one entry each across the first shards), and the total never exceeds it.
 //!
+//! Entries are stored compactly: each key once (shared by the lookup map
+//! and the ring), both assignments packed 64 bits to a word, the report's
+//! problem name left to the key that already carries it, and the whole
+//! entry behind an `Arc`, so a hit or a follower wake-up clones a pointer
+//! rather than the report. [`CachedResult`] is the expanded form the public
+//! API and [`crate::journal::SolutionSnapshot`] exchange.
+//!
 //! This module also hosts the `FlightTable`: the single-flight table keyed
 //! by the same [`CacheKey`] the cache uses. Two concurrent submissions of
 //! the same work both miss the cache (the entry only appears after the
@@ -34,12 +41,13 @@
 //! compiling, so the key is known before any compilation; the first arrival
 //! leads (checks the cache, and only on a miss compiles and solves), and
 //! every later arrival — exact or permuted duplicate alike — parks on the
-//! leader's `Flight` and is served its published [`CachedResult`] through
+//! leader's `Flight` and is served its published entry through
 //! the same canonical-bit translation a cache hit uses.
 
 use crate::service::JobError;
 use crate::sync::{CondvarExt, LockExt};
 use qdm_core::pipeline::{PipelineOptions, PipelineReport};
+use qdm_core::problem::Decoded;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -100,7 +108,9 @@ pub(crate) fn pack_options(options: &PipelineOptions) -> u8 {
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     /// The full pipeline report as produced by the original solve (its
-    /// `bits` are in the *original submitter's* variable order).
+    /// `bits` are in the *original submitter's* variable order). Its
+    /// `problem` is the key's: the cache stores the name once, in the key,
+    /// and reads it back from there.
     pub report: PipelineReport,
     /// The solved assignment permuted into canonical variable order, so a
     /// hit from a permuted-but-identical encoding can translate it into its
@@ -110,16 +120,127 @@ pub struct CachedResult {
     pub backend: String,
 }
 
-/// One ring slot of a shard's CLOCK: the entry plus its referenced bit.
+/// An assignment packed 64 bits to a word, least significant bit first.
+#[derive(Debug)]
+struct PackedBits {
+    len: usize,
+    words: Box<[u64]>,
+}
+
+impl PackedBits {
+    fn pack(bits: &[bool]) -> Self {
+        let mut words = vec![0u64; bits.len().div_ceil(64)].into_boxed_slice();
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= u64::from(b) << (i % 64);
+        }
+        Self { len: bits.len(), words }
+    }
+
+    fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {i} out of range for {} bits", self.len);
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn unpack(&self) -> Vec<bool> {
+        (0..self.len).map(|i| self.get(i)).collect()
+    }
+}
+
+/// The compact form of a [`CachedResult`] the cache stores: the report
+/// without its problem name (the key holds it), both assignments packed,
+/// and boxed strings.
+#[derive(Debug)]
+pub(crate) struct CacheEntry {
+    solver: Box<str>,
+    backend: Box<str>,
+    summary: Box<str>,
+    bits: PackedBits,
+    canonical_bits: PackedBits,
+    n_vars: usize,
+    max_subproblem_vars: usize,
+    components: usize,
+    presolve_fixed: usize,
+    energy: f64,
+    objective: f64,
+    evaluations: u64,
+    seconds: f64,
+    feasible: bool,
+}
+
+impl CacheEntry {
+    /// Compacts a solved report. `canonical_bits` is its assignment in
+    /// canonical variable order; `report.problem` is dropped, since it
+    /// equals the problem name of the key the entry is stored under.
+    pub(crate) fn new(report: &PipelineReport, canonical_bits: &[bool], backend: &str) -> Self {
+        Self {
+            solver: report.solver.as_str().into(),
+            backend: backend.into(),
+            summary: report.decoded.summary.as_str().into(),
+            bits: PackedBits::pack(&report.bits),
+            canonical_bits: PackedBits::pack(canonical_bits),
+            n_vars: report.n_vars,
+            max_subproblem_vars: report.max_subproblem_vars,
+            components: report.components,
+            presolve_fixed: report.presolve_fixed,
+            energy: report.energy,
+            objective: report.decoded.objective,
+            evaluations: report.evaluations,
+            seconds: report.seconds,
+            feasible: report.decoded.feasible,
+        }
+    }
+
+    /// Canonical variable `c`'s value in the stored assignment.
+    pub(crate) fn canonical_bit(&self, c: usize) -> bool {
+        self.canonical_bits.get(c)
+    }
+
+    /// Name of the backend that produced the result.
+    pub(crate) fn backend(&self) -> &str {
+        &self.backend
+    }
+
+    /// The stored report, expanded, under the key's `problem` name.
+    pub(crate) fn report(&self, problem: &str) -> PipelineReport {
+        PipelineReport {
+            problem: problem.to_string(),
+            solver: self.solver.to_string(),
+            n_vars: self.n_vars,
+            max_subproblem_vars: self.max_subproblem_vars,
+            components: self.components,
+            presolve_fixed: self.presolve_fixed,
+            bits: self.bits.unpack(),
+            energy: self.energy,
+            decoded: Decoded {
+                feasible: self.feasible,
+                objective: self.objective,
+                summary: self.summary.to_string(),
+            },
+            evaluations: self.evaluations,
+            seconds: self.seconds,
+        }
+    }
+
+    fn to_result(&self, key: &CacheKey) -> CachedResult {
+        CachedResult {
+            report: self.report(&key.problem),
+            canonical_bits: self.canonical_bits.unpack(),
+            backend: self.backend.to_string(),
+        }
+    }
+}
+
+/// One ring slot of a shard's CLOCK: the entry plus its referenced bit. The
+/// key is shared with the shard's map.
 struct Slot {
-    key: CacheKey,
-    value: CachedResult,
+    key: Arc<CacheKey>,
+    value: Arc<CacheEntry>,
     referenced: bool,
 }
 
 struct CacheInner {
     /// Key → ring index of the live entry.
-    map: HashMap<CacheKey, usize>,
+    map: HashMap<Arc<CacheKey>, usize>,
     /// The CLOCK ring, filled up to the shard capacity and then recycled in
     /// place (deterministic, no clocks-the-time-kind).
     ring: Vec<Slot>,
@@ -200,33 +321,47 @@ impl ResultCache {
     /// Looks up a completed result, marking the entry referenced so the
     /// CLOCK hand grants it a second chance on its next sweep.
     pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
+        self.lookup(key).map(|entry| entry.to_result(key))
+    }
+
+    /// [`Self::get`] without expanding the entry: a hit costs one `Arc`
+    /// clone.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<Arc<CacheEntry>> {
         let mut inner = self.shard(key).lock_unpoisoned();
         let &slot = inner.map.get(key)?;
         inner.ring[slot].referenced = true;
-        Some(inner.ring[slot].value.clone())
+        Some(Arc::clone(&inner.ring[slot].value))
     }
 
-    /// Inserts a completed result; when the shard is full the CLOCK hand
+    /// Inserts a completed result, stored compactly (see the module docs).
+    pub fn insert(&self, key: CacheKey, value: CachedResult) {
+        let entry = CacheEntry::new(&value.report, &value.canonical_bits, &value.backend);
+        self.insert_entry(key, Arc::new(entry));
+    }
+
+    /// Inserts a compact entry; when the shard is full the CLOCK hand
     /// evicts the first entry it finds whose referenced bit is clear
     /// (clearing set bits as it sweeps). New entries start unreferenced —
     /// they earn their second chance by being hit. First-writer-wins on
     /// races: a duplicate insert (two workers solving the same key
     /// concurrently) keeps the existing entry so later hits stay consistent
     /// with earlier responses.
-    pub fn insert(&self, key: CacheKey, value: CachedResult) {
+    pub(crate) fn insert_entry(&self, key: CacheKey, value: Arc<CacheEntry>) {
         let mut inner = self.shard(&key).lock_unpoisoned();
         if inner.map.contains_key(&key) {
             return;
         }
-        if inner.ring.len() < inner.capacity {
-            let slot = inner.ring.len();
-            inner.ring.push(Slot { key: key.clone(), value, referenced: false });
-            inner.map.insert(key, slot);
+        let key = Arc::new(key);
+        let slot = Slot { key: Arc::clone(&key), value, referenced: false };
+        let index = if inner.ring.len() < inner.capacity {
+            inner.ring.push(slot);
+            inner.ring.len() - 1
         } else {
-            let slot = inner.evict_one();
-            inner.ring[slot] = Slot { key: key.clone(), value, referenced: false };
-            inner.map.insert(key, slot);
-        }
+            let index = inner.evict_one();
+            inner.ring[index] = slot;
+            index
+        };
+        inner.map.insert(key, index);
     }
 
     /// Number of live entries, summed over shards.
@@ -241,14 +376,14 @@ impl ResultCache {
 
     /// Every live `(key, result)` pair, in shard order then insertion/ring
     /// order — the export [`crate::journal::SolutionSnapshot`] serializes.
-    /// A full-cache export clones every entry; snapshotting is expected at
+    /// A full-cache export expands every entry; snapshotting is expected at
     /// checkpoint cadence, not per job.
     pub fn entries(&self) -> Vec<(CacheKey, CachedResult)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let inner = shard.lock_unpoisoned();
             for slot in &inner.ring {
-                out.push((slot.key.clone(), slot.value.clone()));
+                out.push((CacheKey::clone(&slot.key), slot.value.to_result(&slot.key)));
             }
         }
         out
@@ -262,7 +397,7 @@ impl ResultCache {
 /// How a follower's park resolved.
 pub(crate) enum FlightResolution {
     /// The leader finished (solved or hit the cache); serve its result.
-    Served(CachedResult),
+    Served(Arc<CacheEntry>),
     /// The leader failed deterministically (routing error); the duplicate
     /// would have failed identically.
     Failed(JobError),
@@ -275,7 +410,7 @@ enum FlightState {
     Pending,
     /// Boxed: the output dwarfs the other variants and most flights spend
     /// their lifetime `Pending`.
-    Done(Box<Result<CachedResult, JobError>>),
+    Done(Box<Result<Arc<CacheEntry>, JobError>>),
     Abandoned,
 }
 
@@ -298,7 +433,7 @@ impl Flight {
                 FlightState::Pending => state = self.done.wait_unpoisoned(state),
                 FlightState::Done(outcome) => {
                     return match outcome.as_ref() {
-                        Ok(output) => FlightResolution::Served(output.clone()),
+                        Ok(output) => FlightResolution::Served(Arc::clone(output)),
                         Err(err) => FlightResolution::Failed(err.clone()),
                     }
                 }
@@ -367,7 +502,7 @@ impl FlightLease<'_> {
     /// Publishes the flight's outcome to every parked follower and
     /// deregisters its key. Call *after* inserting a successful result into
     /// the cache, so a duplicate arriving post-deregistration hits the cache.
-    pub(crate) fn publish(mut self, outcome: Result<CachedResult, JobError>) {
+    pub(crate) fn publish(mut self, outcome: Result<Arc<CacheEntry>, JobError>) {
         self.resolve(FlightState::Done(Box::new(outcome)));
     }
 
@@ -395,9 +530,11 @@ mod tests {
     use super::*;
     use qdm_core::problem::Decoded;
 
+    /// A report tagged through its decode summary; its problem is the one
+    /// [`key`] uses, as for every report the service caches.
     fn report(tag: &str) -> PipelineReport {
         PipelineReport {
-            problem: tag.to_string(),
+            problem: "p".to_string(),
             solver: "exact".to_string(),
             n_vars: 2,
             max_subproblem_vars: 2,
@@ -426,9 +563,51 @@ mod tests {
         assert!(cache.get(&key(1)).is_none());
         cache.insert(key(1), entry("a", "exact"));
         let hit = cache.get(&key(1)).expect("hit");
-        assert_eq!(hit.report.problem, "a");
+        assert_eq!(hit.report.decoded.summary, "a");
         assert_eq!(hit.backend, "exact");
         assert_eq!(hit.canonical_bits, vec![true, false]);
+    }
+
+    #[test]
+    fn compact_entries_round_trip_every_field_at_word_boundaries() {
+        let cache = ResultCache::new(16);
+        for (fp, n) in [0usize, 1, 63, 64, 65, 130].into_iter().enumerate() {
+            let bits: Vec<bool> = (0..n).map(|i| i.is_multiple_of(3) || i == n - 1).collect();
+            let canonical_bits: Vec<bool> = bits.iter().rev().copied().collect();
+            let value = CachedResult {
+                report: PipelineReport {
+                    solver: "tabu".into(),
+                    n_vars: n,
+                    max_subproblem_vars: n / 2,
+                    components: 3,
+                    presolve_fixed: 1,
+                    bits,
+                    energy: -2.5 - n as f64,
+                    decoded: Decoded {
+                        feasible: n.is_multiple_of(2),
+                        objective: 0.1,
+                        summary: "s".into(),
+                    },
+                    evaluations: 99 + n as u64,
+                    seconds: 0.25,
+                    ..report("r")
+                },
+                canonical_bits,
+                backend: "tabu-pinned".into(),
+            };
+            cache.insert(key(fp as u64), value.clone());
+            let hit = cache.get(&key(fp as u64)).expect("hit");
+            assert_eq!(format!("{hit:?}"), format!("{value:?}"), "{n} bits");
+        }
+    }
+
+    #[test]
+    fn hits_share_the_stored_entry() {
+        let cache = ResultCache::new(4);
+        cache.insert(key(1), entry("a", "exact"));
+        let (a, b) = (cache.lookup(&key(1)).unwrap(), cache.lookup(&key(1)).unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "a hit clones a pointer, not the report");
+        assert_eq!(a.backend(), "exact");
     }
 
     #[test]
@@ -514,7 +693,7 @@ mod tests {
         let cache = ResultCache::new(4);
         cache.insert(key(1), entry("first", "e"));
         cache.insert(key(1), entry("second", "e"));
-        assert_eq!(cache.get(&key(1)).unwrap().report.problem, "first");
+        assert_eq!(cache.get(&key(1)).unwrap().report.decoded.summary, "first");
         assert_eq!(cache.len(), 1);
     }
 
@@ -556,9 +735,10 @@ mod tests {
             FlightRole::Follower(flight) => flight,
             FlightRole::Leader(_) => panic!("second arrival must coalesce"),
         };
-        lease.publish(Ok(entry("led", "e")));
+        let led = entry("led", "e");
+        lease.publish(Ok(Arc::new(CacheEntry::new(&led.report, &led.canonical_bits, "e"))));
         match follower.wait() {
-            FlightResolution::Served(out) => assert_eq!(out.report.problem, "led"),
+            FlightResolution::Served(out) => assert_eq!(out.report("p").decoded.summary, "led"),
             _ => panic!("published flight must serve its followers"),
         }
         // The key is deregistered: the next arrival leads a fresh flight.

@@ -34,7 +34,7 @@
 
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::cache::{
-    CacheKey, CachedResult, FlightLease, FlightResolution, FlightRole, FlightTable, ResultCache,
+    CacheEntry, CacheKey, FlightLease, FlightResolution, FlightRole, FlightTable, ResultCache,
 };
 use crate::cluster::{Clock, MonotonicClock};
 use crate::cost::{analytic_seconds, CostShape, MIN_PREDICTED_SECONDS};
@@ -809,7 +809,13 @@ impl SolverService {
 
 impl Drop for SolverService {
     fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        // Raise the flag under the queue lock: a worker checks it and then
+        // waits on `job_ready` while holding that lock, so a flag raised
+        // and notified in between would be missed and the join would hang.
+        {
+            let _queue = self.shared.queue.lock_unpoisoned();
+            self.shared.shutting_down.store(true, Ordering::SeqCst);
+        }
         self.shared.job_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -1232,12 +1238,12 @@ fn process(
     loop {
         let flight = match shared.inflight.join_or_lead(&key) {
             FlightRole::Leader(lease) => {
-                let Some(cached) = shared.cache.get(&key) else {
+                let Some(cached) = shared.cache.lookup(&key) else {
                     return lead(shared, spec, &route, key, lease, trace, ctx);
                 };
                 shared.metrics.on_cache_hit();
                 let serve_start_ns = if trace.is_some() { shared.now_ns() } else { 0 };
-                let result = serve_cached(spec, &route, cached.clone());
+                let result = serve_cached(spec, &route, &key, &cached);
                 if let Some(t) = trace.as_mut() {
                     t.spans.push(Span::timed(
                         Stage::Serve,
@@ -1256,7 +1262,7 @@ fn process(
         match flight.wait() {
             FlightResolution::Served(cached) => {
                 shared.metrics.on_coalesced_served();
-                let mut result = serve_cached(spec, &route, cached);
+                let mut result = serve_cached(spec, &route, &key, &cached);
                 result.from_cache = false;
                 result.coalesced = true;
                 if let Some(t) = trace.as_mut() {
@@ -1610,11 +1616,10 @@ fn lead(
     for (i, &bit) in report.bits.iter().enumerate() {
         canonical_bits[route.perm[i]] = bit;
     }
-    let cached =
-        CachedResult { report: report.clone(), canonical_bits, backend: backend_name.clone() };
+    let cached = Arc::new(CacheEntry::new(&report, &canonical_bits, &backend_name));
     // Insert into the cache *before* publishing/deregistering the flight:
     // a duplicate arriving after the flight closes must find the entry.
-    shared.cache.insert(key, cached.clone());
+    shared.cache.insert_entry(key, Arc::clone(&cached));
     lease.publish(Ok(cached));
     Ok(JobResult {
         job_id: 0, // stamped with the queue id by the worker loop
@@ -1788,27 +1793,23 @@ fn render_chrome_trace(traces: &[JobTrace]) -> String {
 /// feasibility are preserved by construction. The energy is scored with the
 /// requester's own model ([`qdm_qubo::model::QuboModel::energy`] is
 /// bit-identical to the compiled evaluation), so serving never compiles.
-fn serve_cached(spec: &JobSpec, route: &RouteInfo, cached: CachedResult) -> JobResult {
-    let mut bits = vec![false; route.perm.len()];
-    for (i, slot) in bits.iter_mut().enumerate() {
-        *slot = cached.canonical_bits[route.perm[i]];
+fn serve_cached(
+    spec: &JobSpec,
+    route: &RouteInfo,
+    key: &CacheKey,
+    cached: &CacheEntry,
+) -> JobResult {
+    let bits: Vec<bool> = route.perm.iter().map(|&c| cached.canonical_bit(c)).collect();
+    let mut report = cached.report(&key.problem);
+    if bits != report.bits {
+        report.energy = route.qubo.energy(&bits);
+        report.decoded = spec.problem.decode(&bits);
+        report.bits = bits;
     }
-    if bits == cached.report.bits {
-        return JobResult {
-            job_id: 0, // stamped with the queue id by the worker loop
-            report: cached.report,
-            backend: cached.backend,
-            from_cache: true,
-            coalesced: false,
-        };
-    }
-    let energy = route.qubo.energy(&bits);
-    let decoded = spec.problem.decode(&bits);
-    let report = PipelineReport { bits, energy, decoded, ..cached.report };
     JobResult {
         job_id: 0, // stamped with the queue id by the worker loop
         report,
-        backend: cached.backend,
+        backend: cached.backend().to_string(),
         from_cache: true,
         coalesced: false,
     }
